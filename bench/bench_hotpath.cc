@@ -1,6 +1,6 @@
-// Hot-path benchmark: quantifies the three optimizations of the performance
-// overhaul (allocation-free event engine, incremental tail-latency window,
-// per-request fast path) and writes the numbers to BENCH_hotpath.json.
+// Hot-path benchmark: quantifies the three hot layers of a trial
+// (allocation-free event engine, tail-latency window, per-request fast path)
+// and writes the numbers to BENCH_hotpath.json.
 //
 // Sections:
 //   * end_to_end  — the representative Table-2 trial (e-commerce + wordcount
@@ -8,11 +8,11 @@
 //     event and request throughput from the simulator's own counters;
 //   * event_engine — per-event dispatch and periodic re-arm cost, plus the
 //     InlineFunction heap-fallback count (must stay 0 on this path);
-//   * tail_window — add+query cost on a realistic window, the chunk-scan
-//     certificate and the same-instant memo hit rate.
+//   * tail_window — add+query cost on a realistic window and the
+//     same-instant memo hit rate.
 //
 // The committed BENCH_hotpath.json at the repo root also carries a
-// "baseline" section with the same trial measured at the pre-overhaul
+// "baseline" section with the same sections measured at the previous
 // revision on the same machine; this binary only measures the current tree.
 //
 // Usage: bench_hotpath [output.json]   (default: BENCH_hotpath.json in cwd)
@@ -191,14 +191,12 @@ void BenchTailWindow(JsonWriter& json) {
       .Field("queries", stats.queries)
       .Field("memo_hits", stats.memo_hits)
       .Field("ns_per_op", total_s / static_cast<double>(ops) * 1e9)
-      .Field("last_query_chunks_scanned", stats.last_chunks_scanned)
       .Field("window_samples_at_end", static_cast<uint64_t>(window.size()))
       .EndObject();
-  std::printf("tail_window: %.1f ns/op, %llu/%llu memo hits, %llu chunks scanned (n=%zu), checksum %.3f\n",
+  std::printf("tail_window: %.1f ns/op, %llu/%llu memo hits (n=%zu), checksum %.3f\n",
               total_s / static_cast<double>(ops) * 1e9,
               static_cast<unsigned long long>(stats.memo_hits),
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(stats.last_chunks_scanned), window.size(), sink);
+              static_cast<unsigned long long>(stats.queries), window.size(), sink);
 }
 
 int Main(int argc, char** argv) {

@@ -166,28 +166,6 @@ void BM_PercentileWindowQuantile(benchmark::State& state) {
 }
 BENCHMARK(BM_PercentileWindowQuantile);
 
-void BM_PercentileWindowAddQuery(benchmark::State& state) {
-  // The control-plane steady state: samples stream in, the quantile is
-  // re-asked at a fresh timestamp each time (no memo). Pre-overhaul each
-  // query copied and nth_element-ed the entire window.
-  PercentileWindow window(10.0);
-  Rng rng(44);
-  double now = 0.0;
-  for (int i = 0; i < 10000; ++i) {
-    now += 0.001;
-    window.Add(now, rng.Exponential(10.0));
-  }
-  for (auto _ : state) {
-    now += 0.001;
-    window.Add(now, rng.Exponential(10.0));
-    benchmark::DoNotOptimize(window.Quantile(now, 0.99));
-  }
-  state.counters["chunks_scanned"] =
-      static_cast<double>(window.query_stats().last_chunks_scanned);
-  state.counters["window_n"] = static_cast<double>(window.size());
-}
-BENCHMARK(BM_PercentileWindowAddQuery);
-
 void BM_SimulatorPeriodicReArm(benchmark::State& state) {
   // One firing of a periodic task per iteration: dequeue, run the action,
   // advance next_time, re-arm. Pre-overhaul the re-arm copied the stored

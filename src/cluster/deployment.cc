@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "src/common/logging.h"
-#include "src/sim/sim_arena.h"
 
 namespace rhythm {
 
@@ -25,16 +24,6 @@ Deployment::Deployment(const DeploymentConfig& config)
     : config_(config),
       app_(MakeApp(config.app_kind)),
       tail_sampled_at_(std::numeric_limits<double>::quiet_NaN()) {
-  if (config.arena != nullptr) {
-    // A lent arena starts this deployment on a recycled simulator: Reset()
-    // makes it observably identical to a fresh one (time 0, empty queue,
-    // sequence 0) while keeping its allocations warm across epochs.
-    config.arena->Reset();
-    sim_ = &config.arena->sim;
-  } else {
-    own_sim_ = std::make_unique<Simulator>();
-    sim_ = own_sim_.get();
-  }
   const int pods = app_.pod_count();
   pod_series_.resize(pods);
 
@@ -57,9 +46,7 @@ Deployment::Deployment(const DeploymentConfig& config)
   service_config.sink = config.sink;
   service_config.tail_window_s = config.tail_window_s;
   service_config.noise_events_per_request = config.noise_events_per_request;
-  service_config.chunk_pool =
-      config.arena != nullptr ? &config.arena->chunk_pool : nullptr;
-  service_ = std::make_unique<LcService>(sim_, app_, service_config);
+  service_ = std::make_unique<LcService>(&sim_, app_, service_config);
 
   if (config.enable_be) {
     for (int pod = 0; pod < pods; ++pod) {
@@ -108,7 +95,7 @@ Deployment::Deployment(const DeploymentConfig& config)
   telemetry_.resize(pods);
   if (config.faults != nullptr && !config.faults->empty()) {
     const uint64_t fault_seed = config.seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL;
-    fault_ = std::make_unique<FaultInjector>(sim_, *config.faults, pods, fault_seed);
+    fault_ = std::make_unique<FaultInjector>(&sim_, *config.faults, pods, fault_seed);
     fault_->AttachObs(config.obs_sink);
     fault_->set_crash_handler([this](int pod, bool online) {
       if (online) {
@@ -173,21 +160,21 @@ void Deployment::Start(const LoadProfile* profile) {
   started_ = true;
   service_->SetLoadProfile(profile);
   service_->Start();
-  sim_->SchedulePeriodic(config_.accounting_period_s, config_.accounting_period_s,
-                        [this] { AccountingTick(); });
+  sim_.SchedulePeriodic(config_.accounting_period_s, config_.accounting_period_s,
+                       [this] { AccountingTick(); });
   if (!agents_.empty()) {
-    sim_->SchedulePeriodic(MachineAgent::kPeriodSeconds, MachineAgent::kPeriodSeconds,
-                          [this] { ControllerTick(); });
+    sim_.SchedulePeriodic(MachineAgent::kPeriodSeconds, MachineAgent::kPeriodSeconds,
+                         [this] { ControllerTick(); });
   }
   if (fault_ != nullptr) {
     fault_->Start();
   }
 }
 
-void Deployment::RunFor(double seconds) { sim_->RunUntil(sim_->Now() + seconds); }
+void Deployment::RunFor(double seconds) { sim_.RunUntil(sim_.Now() + seconds); }
 
 double Deployment::SampledTailMs() {
-  const double now = sim_->Now();
+  const double now = sim_.Now();
   if (tail_sampled_at_ != now) {  // NaN seed never matches: first call samples.
     tail_sample_ = service_->TailLatencyMs();
     tail_sampled_at_ = now;
@@ -196,7 +183,7 @@ double Deployment::SampledTailMs() {
 }
 
 void Deployment::AccountingTick() {
-  const double now = sim_->Now();
+  const double now = sim_.Now();
   if (scheduler_ != nullptr) {
     // BE job arrivals into the cluster queue.
     arrival_accumulator_ += config_.be_arrival_rate_per_s * config_.accounting_period_s;
@@ -287,7 +274,7 @@ void Deployment::AccountingTick() {
 }
 
 void Deployment::ControllerTick() {
-  const double now = sim_->Now();
+  const double now = sim_.Now();
   const double load = service_->CurrentLoad();
   const double tail = SampledTailMs();
   for (int pod = 0; pod < pod_count(); ++pod) {
@@ -349,7 +336,7 @@ void Deployment::EmitObs(ObsKind kind, int machine, uint8_t code, uint8_t detail
     return;
   }
   ObsEvent event;
-  event.time_s = sim_->Now();
+  event.time_s = sim_.Now();
   event.machine = machine;
   event.kind = kind;
   event.code = code;
@@ -422,7 +409,7 @@ void Deployment::OnPodCrash(int pod) {
   ++crash_count_;
   if (!awaiting_recovery_) {
     awaiting_recovery_ = true;
-    recovery_start_ = sim_->Now();
+    recovery_start_ = sim_.Now();
   }
   machines_[pod]->SetLcActivity(0.0, 0.0, 0.0);
   BeRuntime* be = this->be(pod);
@@ -450,7 +437,7 @@ void Deployment::OnPodReboot(int pod) {
   // The rebooted machine re-registers with a fresh measurement, but its agent
   // holds BE growth back while the pod warms up.
   telemetry_[pod].tail_ms = SampledTailMs();
-  telemetry_[pod].sampled_at = sim_->Now();
+  telemetry_[pod].sampled_at = sim_.Now();
   if (!agents_.empty()) {
     // A reboot is a heavier disruption than a single kill: arm the full
     // exponential hold rather than entering at level one.

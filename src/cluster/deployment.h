@@ -3,6 +3,8 @@
 // testbed in simulation.
 //
 // Wiring:
+//   * the deployment owns its discrete-event simulator; every component
+//     below schedules on it, and a new deployment starts on a fresh one;
 //   * each Servpod gets its own Machine;
 //   * the LC service's per-pod inflation is computed by the interference
 //     model from that machine's state and its co-located BE runtime;
@@ -44,8 +46,6 @@
 #include "src/workload/load_profile.h"
 
 namespace rhythm {
-
-struct SimArena;
 
 enum class ControllerKind { kNone, kRhythm, kHeracles };
 
@@ -91,14 +91,6 @@ struct DeploymentConfig {
   // (accounting SLO violations, crash BE losses). Like the observer, a sink
   // must never perturb the run.
   ObsSink* obs_sink = nullptr;
-  // Optional reusable simulation state (src/sim/sim_arena.h, must outlive
-  // the deployment). When set, the deployment runs on the arena's simulator
-  // (Reset() at construction — bit-identical to a fresh one, but the event
-  // queue keeps its capacity) and the LC tail window draws chunk buffers
-  // from the arena's pool. The partitioned cluster engine lends one arena
-  // per group slot so back-to-back epochs reuse memory instead of
-  // reallocating it.
-  SimArena* arena = nullptr;
 };
 
 // Per-pod metric series sampled by the accounting task.
@@ -123,8 +115,8 @@ class Deployment {
   // Advances the simulation `seconds` further.
   void RunFor(double seconds);
 
-  Simulator& sim() { return *sim_; }
-  const Simulator& sim() const { return *sim_; }
+  Simulator& sim() { return sim_; }
+  const Simulator& sim() const { return sim_; }
   LcService& service() { return *service_; }
   const AppSpec& app() const { return app_; }
   int pod_count() const { return app_.pod_count(); }
@@ -217,11 +209,9 @@ class Deployment {
 
   DeploymentConfig config_;
   AppSpec app_;
-  // The event engine: own_sim_ unless the config lends an arena, in which
-  // case sim_ points at the arena's (reset) simulator and own_sim_ stays
-  // null.
-  std::unique_ptr<Simulator> own_sim_;
-  Simulator* sim_ = nullptr;
+  // The event engine. Declared before every member that schedules on it, so
+  // it is destroyed after them.
+  Simulator sim_;
   std::vector<std::unique_ptr<Machine>> machines_;
   std::unique_ptr<LcService> service_;
   std::vector<std::unique_ptr<BeRuntime>> be_runtimes_;

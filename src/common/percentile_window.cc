@@ -2,182 +2,16 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
-
 namespace rhythm {
-
-// ---------------------------------------------------------------------------
-// ChunkPool
-
-std::unique_ptr<ChunkPool::Chunk> ChunkPool::Take() {
-  if (free_.empty()) {
-    return nullptr;
-  }
-  std::unique_ptr<Chunk> chunk = std::move(free_.back());
-  free_.pop_back();
-  ++reuses_;
-  return chunk;
-}
-
-void ChunkPool::Put(std::unique_ptr<Chunk> chunk) {
-  chunk->clear();
-  free_.push_back(std::move(chunk));
-}
-
-// ---------------------------------------------------------------------------
-// SortedChunkIndex
-
-SortedChunkIndex::~SortedChunkIndex() {
-  if (pool_ == nullptr) {
-    return;
-  }
-  for (std::unique_ptr<Chunk>& chunk : chunks_) {
-    pool_->Put(std::move(chunk));
-  }
-  for (std::unique_ptr<Chunk>& chunk : free_chunks_) {
-    pool_->Put(std::move(chunk));
-  }
-}
-
-size_t SortedChunkIndex::FindChunk(double value) const {
-  size_t lo = 0;
-  size_t hi = chunks_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (chunks_[mid]->back() < value) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-std::unique_ptr<SortedChunkIndex::Chunk> SortedChunkIndex::TakeChunk() {
-  if (!free_chunks_.empty()) {
-    std::unique_ptr<Chunk> chunk = std::move(free_chunks_.back());
-    free_chunks_.pop_back();
-    return chunk;
-  }
-  if (pool_ != nullptr) {
-    std::unique_ptr<Chunk> chunk = pool_->Take();
-    if (chunk != nullptr) {
-      chunk->reserve(kMaxChunk + 1);
-      return chunk;
-    }
-  }
-  auto chunk = std::make_unique<Chunk>();
-  chunk->reserve(kMaxChunk + 1);
-  return chunk;
-}
-
-void SortedChunkIndex::RetireChunk(std::unique_ptr<Chunk> chunk) {
-  chunk->clear();
-  free_chunks_.push_back(std::move(chunk));
-}
-
-void SortedChunkIndex::Insert(double value) {
-  if (chunks_.empty()) {
-    // Directly seed the first chunk: FindChunk reads chunk maxima and an
-    // empty chunk has none (chunks_ never holds empties otherwise — Erase
-    // retires them).
-    chunks_.push_back(TakeChunk());
-    chunks_.front()->push_back(value);
-    ++size_;
-    return;
-  }
-  size_t target = FindChunk(value);
-  if (target == chunks_.size()) {
-    target = chunks_.size() - 1;  // larger than every maximum: append to last.
-  }
-  Chunk& chunk = *chunks_[target];
-  chunk.insert(std::upper_bound(chunk.begin(), chunk.end(), value), value);
-  ++size_;
-  if (chunk.size() > kMaxChunk) {
-    SplitChunk(target);
-  }
-}
-
-void SortedChunkIndex::SplitChunk(size_t index) {
-  Chunk& chunk = *chunks_[index];
-  std::unique_ptr<Chunk> upper = TakeChunk();
-  const size_t half = chunk.size() / 2;
-  upper->assign(chunk.begin() + static_cast<ptrdiff_t>(half), chunk.end());
-  chunk.resize(half);
-  chunks_.insert(chunks_.begin() + static_cast<ptrdiff_t>(index) + 1, std::move(upper));
-}
-
-void SortedChunkIndex::Erase(double value) {
-  const size_t target = FindChunk(value);
-  RHYTHM_CHECK(target < chunks_.size());
-  Chunk& chunk = *chunks_[target];
-  const auto it = std::lower_bound(chunk.begin(), chunk.end(), value);
-  RHYTHM_CHECK(it != chunk.end() && *it == value);
-  chunk.erase(it);
-  --size_;
-  if (chunk.empty()) {
-    RetireChunk(std::move(chunks_[target]));
-    chunks_.erase(chunks_.begin() + static_cast<ptrdiff_t>(target));
-  } else if (chunk.size() < kMergeBelow) {
-    MaybeMergeAround(target);
-  }
-}
-
-void SortedChunkIndex::MaybeMergeAround(size_t index) {
-  // Join with whichever neighbour keeps the pair under the merge target; the
-  // hysteresis gap to kMaxChunk prevents split/merge thrash at the boundary.
-  const auto merge_into_prev = [this](size_t i) {
-    Chunk& prev = *chunks_[i - 1];
-    Chunk& cur = *chunks_[i];
-    prev.insert(prev.end(), cur.begin(), cur.end());
-    RetireChunk(std::move(chunks_[i]));
-    chunks_.erase(chunks_.begin() + static_cast<ptrdiff_t>(i));
-  };
-  if (index > 0 && chunks_[index - 1]->size() + chunks_[index]->size() <= kMergeTarget) {
-    merge_into_prev(index);
-  } else if (index + 1 < chunks_.size() &&
-             chunks_[index]->size() + chunks_[index + 1]->size() <= kMergeTarget) {
-    merge_into_prev(index + 1);
-  }
-}
-
-double SortedChunkIndex::SelectKth(size_t k, uint64_t* chunks_scanned) const {
-  RHYTHM_CHECK(k < size_);
-  size_t skipped = 0;
-  for (const std::unique_ptr<Chunk>& chunk : chunks_) {
-    if (chunks_scanned != nullptr) {
-      ++*chunks_scanned;
-    }
-    if (k < skipped + chunk->size()) {
-      return (*chunk)[k - skipped];
-    }
-    skipped += chunk->size();
-  }
-  RHYTHM_CHECK(false);  // unreachable: k < size_.
-  return 0.0;
-}
-
-void SortedChunkIndex::Clear() {
-  for (std::unique_ptr<Chunk>& chunk : chunks_) {
-    RetireChunk(std::move(chunk));
-  }
-  chunks_.clear();
-  size_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// PercentileWindow
 
 void PercentileWindow::Add(double now, double latency) {
   samples_.push_back(Sample{now, latency});
-  index_.Insert(latency);
   memo_valid_ = false;
 }
 
 void PercentileWindow::Expire(double now) {
   const double cutoff = now - window_;
   while (!samples_.empty() && samples_.front().time < cutoff) {
-    index_.Erase(samples_.front().latency);
     samples_.pop_front();
     memo_valid_ = false;
   }
@@ -196,15 +30,22 @@ double PercentileWindow::Quantile(double now, double q) {
   // Same arithmetic as PercentileInplace (src/common/stats.cc) on the same
   // order statistics — the answers are bit-identical to the sort-based path.
   const double clamped = std::clamp(q, 0.0, 1.0);
-  const size_t n = index_.size();
+  const size_t n = samples_.size();
   const double rank = clamped * static_cast<double>(n - 1);
   const size_t lo = static_cast<size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  query_stats_.last_chunks_scanned = 0;
-  const double vlo = index_.SelectKth(lo, &query_stats_.last_chunks_scanned);
+  scratch_.clear();
+  for (const Sample& sample : samples_) {
+    scratch_.push_back(sample.latency);
+  }
+  const auto lo_it = scratch_.begin() + static_cast<ptrdiff_t>(lo);
+  std::nth_element(scratch_.begin(), lo_it, scratch_.end());
+  const double vlo = *lo_it;
   double value = vlo;
   if (frac != 0.0 && lo + 1 < n) {
-    const double vhi = index_.SelectKth(lo + 1, &query_stats_.last_chunks_scanned);
+    // nth_element leaves everything above `lo` no smaller than it, so the
+    // next order statistic is that part's minimum.
+    const double vhi = *std::min_element(lo_it + 1, scratch_.end());
     value = vlo + frac * (vhi - vlo);
   }
   memo_valid_ = true;

@@ -5,16 +5,16 @@
 // the samples of the last `window` seconds and answers percentile queries
 // exactly.
 //
-// Implementation: alongside the FIFO used for expiration, samples live in a
-// SortedChunkIndex — a sorted ring of bounded chunks maintained
-// incrementally on add/expire — so a quantile query selects the needed order
-// statistics by walking chunk counts instead of copying and nth_element-ing
-// the whole window (the pre-overhaul behaviour: O(window) copy + partition
-// per query, several times per simulated second). A per-(timestamp, q) memo
-// makes the accounting tick, controller tick and reboot handler reads at the
-// same simulated instant pay for one selection only. Results are
-// bit-identical to the old sort-based math: the same interpolation formula
-// runs on the same order statistics.
+// Implementation: one FIFO of (time, latency), used for expiration and
+// nothing else. Every finished request adds a sample while the controllers
+// read about once per thousand adds, so adds stay a push_back and a query
+// pays the selection: it copies the retained latencies into a scratch
+// vector (reused across queries) and selects the needed order statistics
+// with nth_element. A per-(timestamp, q) memo makes the accounting tick,
+// controller tick and reboot handler reads at the same simulated instant pay
+// for one selection only. The interpolation is PercentileInplace's
+// (src/common/stats.cc) on the same order statistics, so answers are the
+// same doubles as the sort-based math.
 
 #ifndef RHYTHM_SRC_COMMON_PERCENTILE_WINDOW_H_
 #define RHYTHM_SRC_COMMON_PERCENTILE_WINDOW_H_
@@ -22,105 +22,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 namespace rhythm {
 
-// A free-list of chunk buffers shared *across* SortedChunkIndex instances,
-// so tearing one window down and building the next (e.g. per-epoch trials
-// in the partitioned cluster engine) reuses buffers instead of returning
-// them to the heap. Single-threaded: a pool must only be shared by indexes
-// that live on the same shard. The pool must outlive every index wired to
-// it — a dying index hands its chunks back.
-class ChunkPool {
- public:
-  using Chunk = std::vector<double>;
-
-  // A pooled buffer, or null when the pool is empty.
-  std::unique_ptr<Chunk> Take();
-  // Accepts a buffer back; the buffer's capacity is retained, its contents
-  // dropped.
-  void Put(std::unique_ptr<Chunk> chunk);
-
-  size_t size() const { return free_.size(); }
-  // Buffers handed out minus buffers returned that came from the heap —
-  // i.e. how many allocations the pool has absorbed (for tests/benches).
-  uint64_t reuses() const { return reuses_; }
-
- private:
-  std::vector<std::unique_ptr<Chunk>> free_;
-  uint64_t reuses_ = 0;
-};
-
-// An incrementally ordered multiset of doubles: a vector of sorted chunks,
-// every element of chunk i <= every element of chunk i+1. Insert and erase
-// cost one binary search plus an O(chunk) shift; selecting the k-th order
-// statistic walks chunk headers (O(size / chunk capacity)) instead of the
-// elements themselves. Emptied chunks are pooled, so steady-state
-// add/expire/select cycles perform no heap allocation.
-class SortedChunkIndex {
- public:
-  SortedChunkIndex() = default;
-  ~SortedChunkIndex();
-
-  // Split threshold: chunks hold at most this many values.
-  static constexpr size_t kMaxChunk = 256;
-  // Merge hysteresis: a chunk shrinking below kMergeBelow joins a neighbour
-  // when the pair fits in kMergeTarget, bounding fragmentation from erases.
-  static constexpr size_t kMergeBelow = kMaxChunk / 4;
-  static constexpr size_t kMergeTarget = (kMaxChunk * 3) / 4;
-
-  void Insert(double value);
-  // Erases one instance of `value`, which must be present.
-  void Erase(double value);
-  // k-th smallest value, 0-based; k must be < size(). `chunks_scanned`, when
-  // non-null, is incremented by the number of chunk headers walked (the
-  // query's cost certificate).
-  double SelectKth(size_t k, uint64_t* chunks_scanned = nullptr) const;
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  size_t chunk_count() const { return chunks_.size(); }
-  void Clear();
-
-  // Wires a shared buffer pool: TakeChunk draws from it before touching the
-  // heap, and retired chunks (including everything held at destruction) go
-  // back to it. Must be set before the first Insert; the pool must outlive
-  // this index. Pooling only changes where buffers come from — the values
-  // stored and every query answer are bit-identical with or without it.
-  void set_pool(ChunkPool* pool) { pool_ = pool; }
-
- private:
-  using Chunk = std::vector<double>;
-
-  // Index of the first chunk whose maximum is >= value (== chunks_.size()
-  // when value exceeds every maximum). If `value` is present anywhere, this
-  // chunk holds an instance of it.
-  size_t FindChunk(double value) const;
-  std::unique_ptr<Chunk> TakeChunk();
-  void RetireChunk(std::unique_ptr<Chunk> chunk);
-  void SplitChunk(size_t index);
-  void MaybeMergeAround(size_t index);
-
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<std::unique_ptr<Chunk>> free_chunks_;
-  ChunkPool* pool_ = nullptr;
-  size_t size_ = 0;
-};
-
 class PercentileWindow {
  public:
-  // window: horizon in seconds over which samples are retained. `pool`, when
-  // non-null, backs the chunk index with a shared buffer pool (see
-  // ChunkPool; the pool must outlive the window).
-  explicit PercentileWindow(double window_seconds = 10.0,
-                            ChunkPool* pool = nullptr)
-      : window_(window_seconds) {
-    if (pool != nullptr) {
-      index_.set_pool(pool);
-    }
-  }
+  // window: horizon in seconds over which samples are retained.
+  explicit PercentileWindow(double window_seconds = 10.0) : window_(window_seconds) {}
 
   // Records a latency sample observed at simulated time `now` (seconds).
   void Add(double now, double latency);
@@ -137,11 +46,8 @@ class PercentileWindow {
 
   // Query-cost introspection for tests and micro-benchmarks.
   struct QueryStats {
-    uint64_t queries = 0;          // Quantile calls on a non-empty window.
-    uint64_t memo_hits = 0;        // answered from the per-timestamp memo.
-    uint64_t last_chunks_scanned = 0;  // chunk headers walked by the last
-                                       // uncached query (certifies the scan
-                                       // is O(size / kMaxChunk), not O(size)).
+    uint64_t queries = 0;    // Quantile calls on a non-empty window.
+    uint64_t memo_hits = 0;  // answered from the per-timestamp memo.
   };
   const QueryStats& query_stats() const { return query_stats_; }
 
@@ -153,7 +59,7 @@ class PercentileWindow {
 
   double window_;
   std::deque<Sample> samples_;  // FIFO, in insertion order (for expiration).
-  SortedChunkIndex index_;      // same latencies, kept ordered.
+  std::vector<double> scratch_;  // selection buffer, reused across queries.
 
   // Memo of the last computed quantile: valid until samples change.
   bool memo_valid_ = false;

@@ -433,7 +433,6 @@ class RequestExecution {
 
  private:
   struct GroupSlot {
-    SimArena arena;
     RunRequest trial_request;
     std::unique_ptr<Trial> trial;
     size_t outcome = 0;   // into outcomes_ — the live incarnation.
@@ -579,8 +578,7 @@ class RequestExecution {
       slot.outcome = index;
       slot.start_s = 0.0;
       slot.trial_request = TrialRequest(request_, outcome, groups_per_epoch_);
-      slot.trial = std::make_unique<Trial>(slot.trial_request, TrialHooks{},
-                                           &slot.arena);
+      slot.trial = std::make_unique<Trial>(slot.trial_request);
       slot.trial->Start();
     }
   }
@@ -886,8 +884,7 @@ class RequestExecution {
       slot.start_s = window_s;
       slot.trial_request =
           FailoverTrialRequest(replacement, window_s, incarnation);
-      slot.trial = std::make_unique<Trial>(slot.trial_request, TrialHooks{},
-                                           &slot.arena);
+      slot.trial = std::make_unique<Trial>(slot.trial_request);
       slot.trial->Start();
     }
   }

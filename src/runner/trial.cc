@@ -53,7 +53,7 @@ void Validate(const RunRequest& request) {
 
 }  // namespace
 
-Trial::Trial(const RunRequest& request, TrialHooks hooks, SimArena* arena)
+Trial::Trial(const RunRequest& request, TrialHooks hooks)
     : request_(request), hooks_(std::move(hooks)) {
   Validate(request_);
   end_time_ = request_.warmup_s + request_.measure_s;
@@ -66,7 +66,6 @@ Trial::Trial(const RunRequest& request, TrialHooks hooks, SimArena* arena)
   config.hardening = request_.hardening;
   config.seed = request_.seed;
   config.faults = request_.faults.get();
-  config.arena = arena;
   if (request_.controller == ControllerKind::kRhythm) {
     config.thresholds = request_.thresholds.empty()
                             ? CachedAppThresholds(request_.app).pods

@@ -8,10 +8,9 @@
 // of windows is bit-identical to one advanced in a single call.
 //
 // Lifetime: the request (and anything it shares — profiles, schedules,
-// custom BE specs) must outlive the trial. An optional SimArena lends the
-// trial a reusable simulator and tail-window chunk pool (the engine's
-// per-slot memory bound); the arena must outlive the trial and may be reused
-// by the next trial after this one is destroyed.
+// custom BE specs) must outlive the trial. The trial owns everything it
+// runs on: its deployment builds a fresh simulator, so no state carries
+// from one trial to the next.
 
 #ifndef RHYTHM_SRC_RUNNER_TRIAL_H_
 #define RHYTHM_SRC_RUNNER_TRIAL_H_
@@ -21,7 +20,6 @@
 #include "src/cluster/metrics.h"
 #include "src/runner/run_request.h"
 #include "src/runner/runner.h"
-#include "src/sim/sim_arena.h"
 
 namespace rhythm {
 
@@ -33,8 +31,7 @@ class Trial {
  public:
   // Validates the request (std::invalid_argument on a malformed one) and
   // builds the deployment, monitor and recorder. Nothing runs yet.
-  explicit Trial(const RunRequest& request, TrialHooks hooks = {},
-                 SimArena* arena = nullptr);
+  explicit Trial(const RunRequest& request, TrialHooks hooks = {});
   ~Trial();
 
   Trial(const Trial&) = delete;

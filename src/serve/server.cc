@@ -97,7 +97,9 @@ bool HttpServer::Start(std::string* error) {
 
   stopping_ = false;
   running_ = true;
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  // The acceptor gets its own copy of the fd, so it never reads the member
+  // that Stop() resets.
+  acceptor_ = std::thread([this, listen_fd = listen_fd_] { AcceptLoop(listen_fd); });
   workers_.reserve(static_cast<size_t>(options_.threads));
   for (int i = 0; i < options_.threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -110,16 +112,20 @@ void HttpServer::Stop() {
     return;
   }
   stopping_ = true;
-  // Closing the listener unblocks accept(). The acceptor is joined BEFORE
-  // the workers are released: once it is gone no new connection can slip
-  // into the queue after the last worker decided the queue was drained.
+  // Shutting the listener down unblocks accept() but keeps the fd number
+  // allocated, so it cannot be reused under the acceptor; it is closed only
+  // once the acceptor has been joined. The acceptor is joined BEFORE the
+  // workers are released: once it is gone no new connection can slip into
+  // the queue after the last worker decided the queue was drained.
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
   }
   if (acceptor_.joinable()) {
     acceptor_.join();
+  }
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) {
@@ -130,14 +136,14 @@ void HttpServer::Stop() {
   workers_.clear();
 }
 
-void HttpServer::AcceptLoop() {
+void HttpServer::AcceptLoop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;
       }
-      return;  // listener closed (Stop) or fatal — either way, stop accepting.
+      return;  // listener shut down (Stop) or fatal — either way, stop accepting.
     }
     if (stopping_) {
       ::close(fd);

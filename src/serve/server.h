@@ -8,7 +8,7 @@
 //   * Keep-alive + pipelining — a worker owns a connection until it goes
 //     idle, errors, or asks to close; the incremental parser hands over
 //     back-to-back requests without waiting for separate reads.
-//   * Graceful drain — Stop() closes the listener, lets workers finish
+//   * Graceful drain — Stop() shuts the listener, lets workers finish
 //     queued and in-flight requests, then joins every thread. In-flight
 //     queries are never cut off mid-response.
 //
@@ -80,7 +80,7 @@ class HttpServer {
   uint64_t requests_served() const { return served_; }
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void WorkerLoop();
   void ServeConnection(int fd);
   HttpResponse Route(const HttpRequest& request);

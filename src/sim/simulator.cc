@@ -51,8 +51,7 @@ void Simulator::FirePeriodic(uint64_t id) {
 
 void Simulator::CancelPeriodic(uint64_t id) {
   // Ids never handed out — or whose last firing already drained — have no
-  // table entry; marking nothing keeps bogus cancels from suppressing a
-  // future task that reuses the id after Reset.
+  // table entry, so there is nothing to mark.
   const auto it = periodics_.find(id);
   if (it != periodics_.end()) {
     it->second.cancelled = true;
@@ -92,20 +91,6 @@ bool Simulator::Step() {
   ++executed_;
   event.action();
   return true;
-}
-
-void Simulator::Reset() {
-  while (!queue_.empty()) {
-    queue_.pop();
-  }
-  now_ = 0.0;
-  next_seq_ = 0;
-  next_periodic_id_ = 1;
-  executed_ = 0;
-  // Dropping the queue above discarded every pending firing, so no entry can
-  // drain naturally — clear the table with it. Periodic ids restart at 1; a
-  // stale cancellation must not suppress a reused id.
-  periodics_.clear();
 }
 
 }  // namespace rhythm

@@ -59,9 +59,6 @@ class Simulator {
   // Runs a single event; returns false if the queue is empty.
   bool Step();
 
-  // Drops all pending events and resets the clock.
-  void Reset();
-
   size_t pending_events() const { return queue_.size(); }
   uint64_t executed_events() const { return executed_; }
   // Cancelled periodic ids whose final pending firing has not drained yet

@@ -13,7 +13,7 @@ LcService::LcService(Simulator* sim, AppSpec app, const Config& config)
       app_(std::move(app)),
       config_(config),
       rng_(config.seed),
-      window_(config.tail_window_s, config.chunk_pool) {
+      window_(config.tail_window_s) {
   RHYTHM_CHECK(sim != nullptr);
   visits_ = app_.VisitCounts();
   sojourns_.resize(app_.components.size());

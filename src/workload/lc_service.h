@@ -36,9 +36,6 @@ class LcService {
     bool record_sojourns = false;
     EventSink* sink = nullptr;        // kernel-event emission when non-null.
     double tail_window_s = 20.0;      // sliding window for tail queries.
-    // Optional chunk recycler for the tail window (must outlive the
-    // service); lets pooled deployments reuse window buffers across epochs.
-    ChunkPool* chunk_pool = nullptr;
     double noise_events_per_request = 0.0;  // unrelated-process events.
     // Persistent TCP connections between neighbour pods: inter-pod messages
     // reuse one connection per edge, so concurrent requests share message

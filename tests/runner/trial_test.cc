@@ -1,8 +1,7 @@
 // Trial: the windowed execution seam under Run() and the partitioned
 // cluster engine. Windowed AdvanceTo sequences are bit-identical to one
-// Run() call however the windows align with the warmup boundary, SimArena
-// reuse across back-to-back trials changes nothing, and the chunked
-// ParallelRunner handles thousand-entry plans.
+// Run() call however the windows align with the warmup boundary, and the
+// chunked ParallelRunner handles thousand-entry plans.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +14,11 @@
 namespace rhythm {
 namespace {
 
-RunRequest TinyRequest(uint64_t seed = 11) {
+RunRequest TinyRequest() {
   RunRequest request;
   request.app = LcAppKind::kRedis;
   request.be = BeJobKind::kCpuStress;
-  request.seed = seed;
+  request.seed = 11;
   request.warmup_s = 3.0;
   request.measure_s = 9.0;
   request.load = 0.5;
@@ -61,32 +60,6 @@ TEST(TrialTest, FinishWithoutExplicitAdvanceRunsToEnd) {
   Trial trial(request);
   trial.Start();
   ExpectSameSummary(rhythm::Run(request), trial.Finish());
-}
-
-TEST(TrialTest, ArenaReuseIsBitIdentical) {
-  const RunRequest request = TinyRequest();
-  const RunSummary reference = rhythm::Run(request);
-
-  SimArena arena;
-  for (int round = 0; round < 3; ++round) {
-    SCOPED_TRACE(round);
-    Trial trial(request, TrialHooks{}, &arena);
-    trial.Start();
-    trial.AdvanceTo(trial.end_time());
-    ExpectSameSummary(reference, trial.Finish());
-  }
-  // The pool actually absorbed allocations across rounds.
-  EXPECT_GT(arena.chunk_pool.reuses(), 0u);
-}
-
-TEST(TrialTest, ArenaReuseAcrossDifferentRequestsStaysCorrect) {
-  SimArena arena;
-  for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    const RunRequest request = TinyRequest(seed);
-    Trial trial(request, TrialHooks{}, &arena);
-    trial.Start();
-    ExpectSameSummary(rhythm::Run(request), trial.Finish());
-  }
 }
 
 TEST(TrialTest, ValidatesAtConstruction) {

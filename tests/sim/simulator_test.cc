@@ -132,17 +132,6 @@ TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(sim.Step());
 }
 
-TEST(SimulatorTest, ResetClearsEverything) {
-  Simulator sim;
-  sim.Schedule(1.0, [] {});
-  sim.SchedulePeriodic(1.0, 1.0, [] {});
-  sim.RunUntil(0.5);
-  sim.Reset();
-  EXPECT_EQ(sim.Now(), 0.0);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(sim.executed_events(), 0u);
-}
-
 TEST(SimulatorTest, CancelledBookkeepingCompactsWhenLastFiringDrains) {
   Simulator sim;
   const uint64_t id = sim.SchedulePeriodic(1.0, 1.0, [] {});
@@ -172,20 +161,6 @@ TEST(SimulatorTest, CancelBogusIdIsIgnored) {
   EXPECT_EQ(sim.cancelled_pending_count(), 0u);
   int count = 0;
   sim.SchedulePeriodic(1.0, 1.0, [&] { ++count; });
-  sim.RunUntil(3.0);
-  EXPECT_EQ(count, 3);
-}
-
-TEST(SimulatorTest, CancelThenResetThenReusedIdStillFires) {
-  // Regression: ids restart at 1 after Reset; a cancellation from before the
-  // Reset must not silently suppress the reused id.
-  Simulator sim;
-  const uint64_t id = sim.SchedulePeriodic(1.0, 1.0, [] {});
-  sim.CancelPeriodic(id);
-  sim.Reset();
-  int count = 0;
-  const uint64_t reused = sim.SchedulePeriodic(1.0, 1.0, [&] { ++count; });
-  EXPECT_EQ(reused, id);
   sim.RunUntil(3.0);
   EXPECT_EQ(count, 3);
 }

@@ -20,18 +20,20 @@
 //     return 2;
 //   }
 //
-// A typed matcher returns false both for a non-matching argument and for a
-// matching flag with no value left to consume — either way the caller's
-// fall-through prints the same "unknown or incomplete option" diagnostic the
-// tools have always emitted.
+// A typed matcher returns false for a non-matching argument, for a matching
+// flag with no value left to consume, and for a numeric flag whose value is
+// empty, has trailing characters or is out of range. In every case the
+// argument stays current, so the caller's fall-through prints the same
+// "unknown or incomplete option" diagnostic naming the flag.
 
 #ifndef RHYTHM_TOOLS_COMMON_FLAGS_H_
 #define RHYTHM_TOOLS_COMMON_FLAGS_H_
 
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 namespace rhythm {
 
@@ -51,34 +53,11 @@ class FlagParser {
   }
 
   // `--flag value` / `--flag=value` matchers: on match they consume the
-  // value and return true; a matching flag missing its value is NOT
-  // consumed (false).
-  bool Int(const char* flag, int* out) {
-    const char* value = Value(flag);
-    if (value == nullptr) {
-      return false;
-    }
-    *out = std::atoi(value);
-    return true;
-  }
-
-  bool U64(const char* flag, uint64_t* out) {
-    const char* value = Value(flag);
-    if (value == nullptr) {
-      return false;
-    }
-    *out = std::strtoull(value, nullptr, 10);
-    return true;
-  }
-
-  bool Double(const char* flag, double* out) {
-    const char* value = Value(flag);
-    if (value == nullptr) {
-      return false;
-    }
-    *out = std::atof(value);
-    return true;
-  }
+  // value and return true; a matching flag missing its value, or (for the
+  // numeric ones) carrying a malformed value, is NOT consumed (false).
+  bool Int(const char* flag, int* out) { return Number(flag, out); }
+  bool U64(const char* flag, uint64_t* out) { return Number(flag, out); }
+  bool Double(const char* flag, double* out) { return Number(flag, out); }
 
   bool Str(const char* flag, std::string* out) {
     const char* value = Value(flag);
@@ -90,7 +69,7 @@ class FlagParser {
   }
 
   // `--flag on|off` (also accepts true/false/1/0; anything else reads as
-  // off, matching the tools' permissive numeric parsing).
+  // off).
   bool OnOff(const char* flag, bool* out) {
     const char* value = Value(flag);
     if (value == nullptr) {
@@ -115,6 +94,28 @@ class FlagParser {
       return argv_[++index_];
     }
     return nullptr;
+  }
+
+  // The whole value must parse as a T: std::from_chars rejects an empty
+  // value, a sign on an unsigned type and an out-of-range number, and the
+  // end pointer check rejects trailing characters. On failure the flag
+  // stays current and its value unconsumed.
+  template <typename T>
+  bool Number(const char* flag, T* out) {
+    const int at = index_;
+    const char* value = Value(flag);
+    if (value == nullptr) {
+      return false;
+    }
+    const char* end = value + std::strlen(value);
+    T parsed{};
+    const auto [stop, error] = std::from_chars(value, end, parsed);
+    if (error != std::errc() || stop != end) {
+      index_ = at;
+      return false;
+    }
+    *out = parsed;
+    return true;
   }
 
   int argc_;

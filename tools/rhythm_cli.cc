@@ -5,47 +5,31 @@
 //   rhythm_cli thresholds --app=<name>
 //   rhythm_cli profile --app=<name> [--measure=30]
 //
+// Flags take `--flag=value` or `--flag value`; an unknown option or a
+// malformed number exits 2.
+//
 // App names: E-commerce | Redis | Solr | Elasticsearch | Elgg | SNMS
 // BE names:  CPU-stress | stream-llc(big) | stream-llc(small) |
 //            stream-dram(big) | stream-dram(small) | iperf | wordcount |
 //            imageClassify | LSTM
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "src/rhythm.h"
+#include "tools/common_flags.h"
 
 using namespace rhythm;
 
 namespace {
 
-// Minimal --key=value parsing.
-std::optional<std::string> FlagValue(int argc, char** argv, const char* key) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return std::nullopt;
-}
-
-bool HasFlag(int argc, char** argv, const char* key) {
-  const std::string flag = std::string("--") + key;
-  for (int i = 2; i < argc; ++i) {
-    if (flag == argv[i]) {
-      return true;
-    }
-  }
-  return false;
-}
-
-double DoubleFlag(int argc, char** argv, const char* key, double fallback) {
-  const auto value = FlagValue(argc, argv, key);
-  return value.has_value() ? std::atof(value->c_str()) : fallback;
+int UnknownOption(const FlagParser& flags) {
+  std::fprintf(stderr, "rhythm_cli: unknown or incomplete option '%s'\n",
+               flags.arg().c_str());
+  return 2;
 }
 
 std::optional<LcAppKind> ParseApp(const std::string& name) {
@@ -66,45 +50,67 @@ std::optional<BeJobKind> ParseBe(const std::string& name) {
   return std::nullopt;
 }
 
-int CmdRun(int argc, char** argv) {
-  const auto app_name = FlagValue(argc, argv, "app");
-  const auto be_name = FlagValue(argc, argv, "be");
-  const auto controller_name = FlagValue(argc, argv, "controller");
-  if (!app_name || !be_name || !controller_name) {
+int CmdRun(FlagParser flags) {
+  std::string app_name, be_name, controller_name;
+  RunRequest request;
+  request.warmup_s = 20.0;
+  request.measure_s = 120.0;
+  request.seed = 11;
+  request.load = 0.45;
+  bool csv = false;
+  while (flags.Next()) {
+    if (flags.Str("--app", &app_name) || flags.Str("--be", &be_name) ||
+        flags.Str("--controller", &controller_name) || flags.Double("--load", &request.load) ||
+        flags.Double("--measure", &request.measure_s) ||
+        flags.Double("--warmup", &request.warmup_s) || flags.U64("--seed", &request.seed)) {
+      continue;
+    }
+    if (flags.Is("--csv")) {
+      csv = true;
+      continue;
+    }
+    return UnknownOption(flags);
+  }
+  if (app_name.empty() || be_name.empty() || controller_name.empty()) {
     std::fprintf(stderr, "run requires --app, --be and --controller\n");
     return 2;
   }
-  const auto app = ParseApp(*app_name);
-  const auto be = ParseBe(*be_name);
+  const auto app = ParseApp(app_name);
+  const auto be = ParseBe(be_name);
   if (!app || !be) {
     std::fprintf(stderr, "unknown app or BE name\n");
     return 2;
   }
-  RunRequest request;
+  if (controller_name == "rhythm") {
+    request.controller = ControllerKind::kRhythm;
+  } else if (controller_name == "heracles") {
+    request.controller = ControllerKind::kHeracles;
+  } else {
+    std::fprintf(stderr, "--controller must be rhythm or heracles\n");
+    return 2;
+  }
   request.app = *app;
   request.be = *be;
-  request.controller =
-      *controller_name == "heracles" ? ControllerKind::kHeracles : ControllerKind::kRhythm;
-  request.warmup_s = DoubleFlag(argc, argv, "warmup", 20.0);
-  request.measure_s = DoubleFlag(argc, argv, "measure", 120.0);
-  request.seed = static_cast<uint64_t>(DoubleFlag(argc, argv, "seed", 11.0));
-  request.load = DoubleFlag(argc, argv, "load", 0.45);
-  const double load = request.load;
-  const ControllerKind controller = request.controller;
 
-  const RunSummary s = Run(request);
-  if (HasFlag(argc, argv, "csv")) {
+  RunSummary s;
+  try {
+    s = Run(request);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  if (csv) {
     std::printf("app,be,controller,load,emu,be_throughput,cpu_util,membw_util,"
                 "worst_tail_ratio,sla_violations,be_kills\n");
     std::printf("%s,%s,%s,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%llu,%llu\n", LcAppKindName(*app),
-                GetBeJobSpec(*be).name.c_str(), ControllerKindName(controller), load,
-                s.emu, s.be_throughput, s.cpu_util, s.membw_util, s.worst_tail_ratio,
+                GetBeJobSpec(*be).name.c_str(), ControllerKindName(request.controller),
+                request.load, s.emu, s.be_throughput, s.cpu_util, s.membw_util, s.worst_tail_ratio,
                 (unsigned long long)s.sla_violations, (unsigned long long)s.be_kills);
     return 0;
   }
   std::printf("%s + %s under %s at %.0f%% load (%.0fs window):\n", LcAppKindName(*app),
-              GetBeJobSpec(*be).name.c_str(), ControllerKindName(controller),
-              load * 100.0, request.measure_s);
+              GetBeJobSpec(*be).name.c_str(), ControllerKindName(request.controller),
+              request.load * 100.0, request.measure_s);
   std::printf("  EMU            %8.3f\n", s.emu);
   std::printf("  BE throughput  %8.3f (normalized)\n", s.be_throughput);
   std::printf("  CPU util       %8.3f\n", s.cpu_util);
@@ -120,9 +126,14 @@ int CmdRun(int argc, char** argv) {
   return 0;
 }
 
-int CmdThresholds(int argc, char** argv) {
-  const auto app_name = FlagValue(argc, argv, "app");
-  const auto app = app_name ? ParseApp(*app_name) : std::nullopt;
+int CmdThresholds(FlagParser flags) {
+  std::string app_name;
+  while (flags.Next()) {
+    if (!flags.Str("--app", &app_name)) {
+      return UnknownOption(flags);
+    }
+  }
+  const auto app = ParseApp(app_name);
   if (!app) {
     std::fprintf(stderr, "thresholds requires --app=<name>\n");
     return 2;
@@ -138,15 +149,20 @@ int CmdThresholds(int argc, char** argv) {
   return 0;
 }
 
-int CmdProfile(int argc, char** argv) {
-  const auto app_name = FlagValue(argc, argv, "app");
-  const auto app = app_name ? ParseApp(*app_name) : std::nullopt;
+int CmdProfile(FlagParser flags) {
+  std::string app_name;
+  ProfileOptions options;
+  options.measure_s = 30.0;
+  while (flags.Next()) {
+    if (!flags.Str("--app", &app_name) && !flags.Double("--measure", &options.measure_s)) {
+      return UnknownOption(flags);
+    }
+  }
+  const auto app = ParseApp(app_name);
   if (!app) {
     std::fprintf(stderr, "profile requires --app=<name>\n");
     return 2;
   }
-  ProfileOptions options;
-  options.measure_s = DoubleFlag(argc, argv, "measure", 30.0);
   const ProfileResult profile = ProfileSolo(*app, DefaultProfileLevels(), options);
   const AppSpec spec = MakeApp(*app);
   std::printf("load");
@@ -169,14 +185,16 @@ int CmdProfile(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Each subcommand walks the flags after its own name.
+  const FlagParser flags(argc - 1, argv + 1);
   if (argc >= 2 && std::strcmp(argv[1], "run") == 0) {
-    return CmdRun(argc, argv);
+    return CmdRun(flags);
   }
   if (argc >= 2 && std::strcmp(argv[1], "thresholds") == 0) {
-    return CmdThresholds(argc, argv);
+    return CmdThresholds(flags);
   }
   if (argc >= 2 && std::strcmp(argv[1], "profile") == 0) {
-    return CmdProfile(argc, argv);
+    return CmdProfile(flags);
   }
   std::fprintf(stderr,
                "usage:\n"
