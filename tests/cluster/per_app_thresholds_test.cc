@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/app_thresholds.h"
+#include "src/workload/app_catalog.h"
 
 namespace rhythm {
 namespace {
@@ -45,17 +46,6 @@ TEST_P(PerAppThresholds, BottleneckThrottledHarderThanTolerantPod) {
             thresholds.contributions[tolerant].contribution);
 }
 
-TEST_P(PerAppThresholds, AllValuesInRange) {
-  const AppStructure& structure = GetParam();
-  const AppThresholds& thresholds = CachedAppThresholds(structure.app);
-  for (const ServpodThresholds& pod : thresholds.pods) {
-    EXPECT_GE(pod.loadlimit, 0.05);
-    EXPECT_LE(pod.loadlimit, 0.95);
-    EXPECT_GE(pod.slacklimit, 0.10);
-    EXPECT_LE(pod.slacklimit, 1.0);
-  }
-}
-
 TEST_P(PerAppThresholds, BottleneckLoadlimitBelowHeraclesUniform) {
   // The component-distinguishable insight: at least one pod needs *more*
   // protection than the uniform 0.85 (and gets it), while at least one
@@ -68,6 +58,23 @@ TEST_P(PerAppThresholds, BottleneckLoadlimitBelowHeraclesUniform) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, PerAppThresholds, ::testing::ValuesIn(kStructures));
+
+// The range check needs only the application, so it is parameterized by the
+// app kind alone: an AppStructure parameter prints its pod-name pointers, which
+// would put load addresses into the test names.
+class PerAppThresholdRanges : public ::testing::TestWithParam<LcAppKind> {};
+
+TEST_P(PerAppThresholdRanges, AllValuesInRange) {
+  const AppThresholds& thresholds = CachedAppThresholds(GetParam());
+  for (const ServpodThresholds& pod : thresholds.pods) {
+    EXPECT_GE(pod.loadlimit, 0.05);
+    EXPECT_LE(pod.loadlimit, 0.95);
+    EXPECT_GE(pod.slacklimit, 0.10);
+    EXPECT_LE(pod.slacklimit, 1.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Catalog, PerAppThresholdRanges, ::testing::ValuesIn(AllLcAppKinds()));
 
 }  // namespace
 }  // namespace rhythm
