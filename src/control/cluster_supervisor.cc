@@ -13,11 +13,6 @@ MachineRoster::MachineRoster(int machines)
   RHYTHM_CHECK(machines > 0);
 }
 
-bool MachineRoster::IsAlive(int machine) const {
-  return machine >= 0 && machine < machines() &&
-         state_[static_cast<size_t>(machine)] != kDead;
-}
-
 bool MachineRoster::MarkDown(int machine) {
   if (machine < 0 || machine >= machines() ||
       state_[static_cast<size_t>(machine)] == kDead) {
@@ -92,72 +87,73 @@ bool ClusterSupervisor::degraded() const {
              options_.degraded_dead_fraction * roster_.machines();
 }
 
-std::vector<FailoverDecision> ClusterSupervisor::PlanFailover(
-    PlacementPolicy& policy, const ClusterView& victims,
-    const std::vector<int>& original_groups) {
-  RHYTHM_CHECK(victims.pending.size() == original_groups.size());
-  std::vector<FailoverDecision> plan;
-  if (!options_.enabled || victims.pending.empty()) {
-    return plan;
-  }
+std::vector<GroupPlacement> PlaceGroups(PlacementPolicy& policy,
+                                        const ClusterView& view,
+                                        MachineRoster& roster, bool force_solo,
+                                        int budget) {
+  policy.OnTick(view);
+  const std::vector<PlacementDecision> decisions = policy.Decide(view);
 
-  policy.OnTick(victims);
-  std::vector<PlacementDecision> decisions = policy.Decide(victims);
-
-  // Same decision contract as epoch placement: exactly one decision per
-  // victim, non-solo BEs drawn from the quota multiset.
-  if (decisions.size() != victims.pending.size()) {
-    throw std::invalid_argument("failover policy \"" + policy.name() + "\" returned " +
-                                std::to_string(decisions.size()) + " decisions for " +
-                                std::to_string(victims.pending.size()) + " victims");
+  const std::string who = "placement policy \"" + policy.name() + "\"";
+  if (decisions.size() != view.pending.size()) {
+    throw std::invalid_argument(who + " returned " +
+                                std::to_string(decisions.size()) +
+                                " decisions for " +
+                                std::to_string(view.pending.size()) + " groups");
   }
-  std::vector<bool> decided(victims.pending.size(), false);
+  std::vector<bool> decided(view.pending.size(), false);
   std::map<BeJobKind, int> quota_left;
-  for (BeJobKind be : victims.be_quota) {
+  for (BeJobKind be : view.be_quota) {
     ++quota_left[be];
   }
   for (const PlacementDecision& decision : decisions) {
     if (decision.group < 0 ||
-        decision.group >= static_cast<int>(victims.pending.size()) ||
+        decision.group >= static_cast<int>(view.pending.size()) ||
         decided[static_cast<size_t>(decision.group)]) {
-      throw std::invalid_argument("failover policy \"" + policy.name() +
-                                  "\" decided victim " + std::to_string(decision.group) +
+      throw std::invalid_argument(who + " decided group " +
+                                  std::to_string(decision.group) +
                                   " zero or multiple times");
     }
     decided[static_cast<size_t>(decision.group)] = true;
     if (!decision.run_solo && --quota_left[decision.be] < 0) {
-      throw std::invalid_argument("failover policy \"" + policy.name() +
-                                  "\" overdraws the victim BE quota");
+      throw std::invalid_argument(who + " overdraws the BE quota");
     }
   }
 
-  // Enact in priority order under the migration budget; degraded mode
-  // forces solo. A victim that fits nowhere (or falls past the budget) comes
-  // back with first_machine = -1 — lost, not silently dropped.
-  const bool solo_everything = degraded();
-  int budget = options_.migration_budget;
-  plan.reserve(decisions.size());
+  std::vector<GroupPlacement> placements;
+  placements.reserve(decisions.size());
   for (const PlacementDecision& decision : decisions) {
-    const PendingGroup& victim = victims.pending[static_cast<size_t>(decision.group)];
-    FailoverDecision out;
-    out.group = original_groups[static_cast<size_t>(decision.group)];
-    out.be = decision.be;
-    out.run_solo = decision.run_solo || solo_everything;
-    out.score = decision.score;
+    GroupPlacement placement;
+    placement.group = decision.group;
+    placement.be = decision.be;
+    placement.run_solo = decision.run_solo || force_solo;
+    placement.score = decision.score;
     if (budget > 0) {
-      out.first_machine = roster_.Allocate(victim.pods);
-      if (out.first_machine >= 0) {
+      placement.first_machine = roster.Allocate(
+          view.pending[static_cast<size_t>(decision.group)].pods);
+      if (placement.first_machine >= 0) {
         --budget;
-        ++migrations_;
       }
     }
-    plan.push_back(out);
+    placements.push_back(placement);
   }
-  return plan;
+  return placements;
 }
 
-void ClusterSupervisor::ObserveBarrier(const ClusterTickSnapshot& snapshot) {
-  (void)snapshot;
+std::vector<GroupPlacement> ClusterSupervisor::PlanFailover(
+    PlacementPolicy& policy, const ClusterView& victims) {
+  if (!options_.enabled) {
+    std::vector<GroupPlacement> lost(victims.pending.size());
+    for (size_t v = 0; v < lost.size(); ++v) {
+      lost[v].group = static_cast<int>(v);
+    }
+    return lost;
+  }
+  return PlaceGroups(policy, victims, roster_, degraded(),
+                     options_.migration_budget);
+}
+
+void ClusterSupervisor::ObserveBarrier() {
   if (degraded()) {
     ++degraded_barriers_;
   }

@@ -31,7 +31,6 @@
 #include <limits>
 #include <vector>
 
-#include "src/control/cluster_tick.h"
 #include "src/place/placement_policy.h"
 
 namespace rhythm {
@@ -54,11 +53,10 @@ struct SupervisorOptions {
   double degraded_dead_fraction = 0.5;
 };
 
-// Machine liveness + occupancy, the allocation substrate for both epoch
-// placement and failover. First-fit over contiguous alive+free runs: with
-// every machine alive this is exactly the cursor allocation the engine used
-// before failure domains existed, which is what keeps fault-free runs
-// bit-identical.
+// Machine liveness + occupancy, the allocation substrate of PlaceGroups
+// below. First-fit over contiguous alive+free runs: with every machine alive
+// this is exactly the cursor allocation the engine used before failure
+// domains existed, which is what keeps fault-free runs bit-identical.
 class MachineRoster {
  public:
   explicit MachineRoster(int machines);
@@ -66,7 +64,6 @@ class MachineRoster {
   int machines() const { return static_cast<int>(state_.size()); }
   int down() const { return down_; }
   int alive() const { return machines() - down_; }
-  bool IsAlive(int machine) const;
 
   // Loss/rejoin transitions. Return false (and change nothing) when the
   // machine is already in the target state — duplicate schedule events
@@ -91,14 +88,26 @@ class MachineRoster {
   int down_ = 0;
 };
 
-// One victim group's failover plan, in policy priority order.
-struct FailoverDecision {
-  int group = 0;  // PendingGroup::group of the victim (original numbering).
+// One pending group's outcome of a placement step, in policy priority order.
+struct GroupPlacement {
+  int group = 0;  // index into the view's pending list.
   BeJobKind be = BeJobKind::kCpuStress;
   bool run_solo = false;
   double score = 0.0;
-  int first_machine = -1;  // -1: lost (budget exhausted or nothing fits).
+  int first_machine = -1;  // -1: unplaced (nothing fits, or past the budget).
 };
+
+// The one placement step behind epoch placement, failover and
+// /v1/placements: shows `policy` the view (OnTick, then Decide), checks the
+// decision contract — exactly one decision per pending group, non-solo BEs
+// drawn from the quota multiset; std::invalid_argument otherwise — and
+// allocates machines first-fit from `roster` in priority order. A group that
+// no longer fits is skipped, so smaller later groups may still land; after
+// `budget` successful placements the rest go unplaced. `force_solo` (degraded
+// mode) sets run_solo on every placement.
+std::vector<GroupPlacement> PlaceGroups(
+    PlacementPolicy& policy, const ClusterView& view, MachineRoster& roster,
+    bool force_solo, int budget = std::numeric_limits<int>::max());
 
 class ClusterSupervisor {
  public:
@@ -106,35 +115,27 @@ class ClusterSupervisor {
 
   MachineRoster& roster() { return roster_; }
   const MachineRoster& roster() const { return roster_; }
-  const SupervisorOptions& options() const { return options_; }
-  bool enabled() const { return options_.enabled; }
 
   // Degraded while enabled and the dead fraction sits at/above the
   // survivability threshold. Rejoins can clear it.
   bool degraded() const;
 
-  // Failover plan for the victim groups. `victims.pending` must be
-  // renumbered 0..n-1 (PlacementDecision::group indexes the pending list);
-  // `original_groups[i]` maps entry i back to the real group id. Applies the
-  // migration budget and degraded mode, allocates from the roster, and
-  // validates the policy's decision contract (one decision per victim, BEs
-  // from the quota multiset). Returns decisions in policy priority order.
-  std::vector<FailoverDecision> PlanFailover(PlacementPolicy& policy,
-                                             const ClusterView& victims,
-                                             const std::vector<int>& original_groups);
+  // Failover placements for `victims.pending`: PlaceGroups under the
+  // migration budget, forcing solo in degraded mode. Disabled, every victim
+  // comes back unplaced, in victim order, without asking the policy.
+  std::vector<GroupPlacement> PlanFailover(PlacementPolicy& policy,
+                                           const ClusterView& victims);
 
   // Barrier accounting: counts barriers spent degraded (for
   // ClusterSummary::degraded_barriers).
-  void ObserveBarrier(const ClusterTickSnapshot& snapshot);
+  void ObserveBarrier();
 
   int degraded_barriers() const { return degraded_barriers_; }
-  int migrations() const { return migrations_; }
 
  private:
   MachineRoster roster_;
   SupervisorOptions options_;
   int degraded_barriers_ = 0;
-  int migrations_ = 0;
 };
 
 }  // namespace rhythm

@@ -70,7 +70,6 @@ std::string DetailName(const ObsEvent& event) {
         case ObsPlacementOp::kEpochBegin:
         case ObsPlacementOp::kGroupSolo:
         case ObsPlacementOp::kGroupUnplaced:
-        case ObsPlacementOp::kTickBarrier:
         case ObsPlacementOp::kMachineDown:
         case ObsPlacementOp::kMachineUp:
         case ObsPlacementOp::kGroupDown:

@@ -84,11 +84,8 @@ enum class ObsPlacementOp : uint8_t {
   kGroupSolo = 2,      // group landed with BEs forbidden (threshold guard).
   kGroupUnplaced = 3,  // no machines left for this group.
   kChurn = 4,          // assignment changed vs the previous epoch.
-  // Conservative-window barrier sample from the partitioned cluster engine
-  // (opt-in via ClusterRunRequest::record_tick_events). One event per placed
-  // group per window: a = group index, b = SLA violations so far, c = BE
-  // kills so far, d = the group's local clock at the barrier.
-  kTickBarrier = 5,
+  // 5 is unused: JSONL recordings store `code` as a number, so the ops
+  // below keep their values.
   // -- Failure-domain edges (cluster-scope machine faults, DESIGN.md §14) --
   // Machine lost at a barrier. machine = index, a = the schedule's start_s,
   // b = planned downtime seconds (0 = permanent kMachineFailure).
@@ -240,8 +237,6 @@ inline const char* ObsPlacementOpName(ObsPlacementOp op) {
       return "unplaced";
     case ObsPlacementOp::kChurn:
       return "churn";
-    case ObsPlacementOp::kTickBarrier:
-      return "tick";
     case ObsPlacementOp::kMachineDown:
       return "machine-down";
     case ObsPlacementOp::kMachineUp:

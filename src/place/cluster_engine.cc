@@ -13,7 +13,6 @@
 #include "src/common/shard_pool.h"
 #include "src/control/machine_agent.h"
 #include "src/obs/exporters.h"
-#include "src/obs/merge.h"
 #include "src/runner/trial.h"
 #include "src/sim/sharded_engine.h"
 #include "src/verify/cluster_invariants.h"
@@ -208,8 +207,10 @@ std::vector<ServpodThresholds> TrialThresholds(const AppPlacementModel& model,
   return thresholds;  // empty: Run() falls back to CachedAppThresholds.
 }
 
-RunRequest TrialRequest(const ClusterRunRequest& request,
-                        const GroupOutcome& outcome, int groups_per_epoch) {
+RunRequest TrialRequest(
+    const ClusterRunRequest& request, const GroupOutcome& outcome,
+    int groups_per_epoch,
+    const std::function<const AppPlacementModel&(LcAppKind)>& model_of) {
   RunRequest trial;
   trial.app = outcome.app;
   trial.be = outcome.be;
@@ -222,10 +223,7 @@ RunRequest TrialRequest(const ClusterRunRequest& request,
   trial.load = outcome.load;
   trial.verify = request.verify;
   if (request.controller == ControllerKind::kRhythm) {
-    AppPlacementModel model = request.model_provider
-                                  ? request.model_provider(outcome.app)
-                                  : DefaultPlacementModel(outcome.app);
-    trial.thresholds = TrialThresholds(model, outcome);
+    trial.thresholds = TrialThresholds(model_of(outcome.app), outcome);
   }
   trial.label = (request.label.empty() ? request.policy : request.label) +
                 "/e" + std::to_string(outcome.epoch) + "/g" +
@@ -288,20 +286,6 @@ class RequestExecution {
       }
       HarvestEpoch(epoch);
     }
-
-    if (request_.record_tick_events) {
-      // Slot streams in slot order, placement events last — equal-timestamp
-      // ties put an epoch's final barrier ticks before the next epoch's
-      // placement events, and the merged timeline is independent of the
-      // shard layout.
-      std::vector<std::vector<ObsEvent>> streams;
-      streams.reserve(slots_.size() + 1);
-      for (GroupSlot& slot : slots_) {
-        streams.push_back(std::move(slot.tick_events));
-      }
-      streams.push_back(std::move(events_));
-      events_ = MergeEventStreams(streams);
-    }
   }
 
   ClusterSummary Summarize() {
@@ -329,8 +313,9 @@ class RequestExecution {
 
     const double machines = static_cast<double>(request_.spec.machines);
     std::map<LcAppKind, size_t> app_index;
-    std::vector<double> app_weight;  // served-fraction sums, per app entry.
-    double placed_pod_ticks = 0.0;   // pods * served / period, summed.
+    std::vector<double> app_weight;     // served-fraction sums, per app entry.
+    std::vector<double> app_pod_ticks;  // pods * served / period, per app.
+    double placed_pod_ticks = 0.0;
 
     for (const GroupOutcome& outcome : outcomes_) {
       if (outcome.incarnation == 0) {
@@ -350,6 +335,7 @@ class RequestExecution {
         summary.per_app.push_back(AppClusterStats{});
         summary.per_app.back().app = outcome.app;
         app_weight.push_back(0.0);
+        app_pod_ticks.push_back(0.0);
       }
       AppClusterStats& app = summary.per_app[it->second];
       if (!outcome.placed) {
@@ -373,8 +359,10 @@ class RequestExecution {
       summary.be_kills += outcome.summary.be_kills;
       summary.worst_tail_ratio =
           std::max(summary.worst_tail_ratio, outcome.summary.worst_tail_ratio);
-      placed_pod_ticks += outcome.pods * outcome.served_measure_s /
-                          MachineAgent::kPeriodSeconds;
+      const double pod_ticks =
+          outcome.pods * outcome.served_measure_s / MachineAgent::kPeriodSeconds;
+      placed_pod_ticks += pod_ticks;
+      app_pod_ticks[it->second] += pod_ticks;
 
       ++app.trials;
       app_weight[it->second] += fraction;
@@ -402,6 +390,10 @@ class RequestExecution {
       if (app_weight[a] > 0.0) {
         app.emu /= app_weight[a];
         app.lc_throughput /= app_weight[a];
+      }
+      if (app_pod_ticks[a] > 0.0) {
+        app.slo_violation_rate =
+            static_cast<double>(app.sla_violations) / app_pod_ticks[a];
       }
     }
 
@@ -439,7 +431,6 @@ class RequestExecution {
     double start_s = 0.0;  // epoch-local start of the live incarnation.
     int incarnations = 0;  // replacements started this epoch.
     std::exception_ptr error;
-    std::vector<ObsEvent> tick_events;  // written only by the owning shard.
   };
 
   void BeginEpoch(int epoch, size_t& next) {
@@ -461,85 +452,39 @@ class RequestExecution {
     const double now_s = epoch * epoch_span_s_;
     const double scale = EpochLoadScale(request_, epoch);
 
-    ClusterView view;
-    view.spec = &request_.spec;
-    view.epoch = epoch;
-    view.load_scale = scale;
-    view.pending = ExpandGroups(request_.spec);
-    for (PendingGroup& group : view.pending) {
-      group.load = std::clamp(group.load * scale, 0.0, 1.0);
-    }
-    view.be_quota = ExpandBeQuota(request_.spec, groups_per_epoch_);
-    view.model = model_of_;
-
+    const ClusterView view = EpochView(request_.spec, epoch, scale, model_of_);
     events_.push_back(PlacementEvent(now_s, ObsPlacementOp::kEpochBegin, -1,
                                      epoch, scale, 0.0, 0.0));
 
-    policy_->OnTick(view);
-    std::vector<PlacementDecision> decisions = policy_->Decide(view);
-
-    // Contract checks: exactly one decision per pending group, BEs drawn
-    // from the quota multiset.
-    if (decisions.size() != view.pending.size()) {
-      throw std::invalid_argument("placement policy \"" + request_.policy +
-                                  "\" returned " +
-                                  std::to_string(decisions.size()) +
-                                  " decisions for " +
-                                  std::to_string(view.pending.size()) +
-                                  " groups");
-    }
-    std::vector<bool> decided(view.pending.size(), false);
-    std::map<BeJobKind, int> quota_left;
-    for (BeJobKind be : view.be_quota) {
-      ++quota_left[be];
-    }
-    for (const PlacementDecision& decision : decisions) {
-      if (decision.group < 0 || decision.group >= groups_per_epoch_ ||
-          decided[decision.group]) {
-        throw std::invalid_argument(
-            "placement policy \"" + request_.policy +
-            "\" decided group " + std::to_string(decision.group) +
-            " zero or multiple times");
-      }
-      decided[decision.group] = true;
-      if (!decision.run_solo && --quota_left[decision.be] < 0) {
-        throw std::invalid_argument("placement policy \"" + request_.policy +
-                                    "\" overdraws the BE quota");
-      }
-    }
-
-    // Allocate machines in decision (priority) order from the roster —
-    // first-fit over contiguous alive+free runs, which with every machine
-    // alive is exactly the old cursor allocation. A decision that no longer
-    // fits is skipped, so smaller later groups may still land. Degraded mode
-    // suspends BE cluster-wide by forcing every placement solo.
-    const bool solo_everything = supervisor_.degraded();
+    // Degraded mode suspends BE cluster-wide by forcing every placement solo.
     std::vector<GroupOutcome> epoch_placement(view.pending.size());
-    for (const PlacementDecision& decision : decisions) {
-      const PendingGroup& group = view.pending[decision.group];
-      GroupOutcome& outcome = epoch_placement[decision.group];
+    for (const GroupPlacement& placement :
+         PlaceGroups(*policy_, view, supervisor_.roster(),
+                     supervisor_.degraded())) {
+      const PendingGroup& group = view.pending[placement.group];
+      GroupOutcome& outcome = epoch_placement[placement.group];
       outcome.epoch = epoch;
       outcome.group = group.group;
       outcome.app = group.app;
-      outcome.be = decision.be;
-      outcome.run_solo = decision.run_solo || solo_everything;
+      outcome.be = placement.be;
+      outcome.run_solo = placement.run_solo;
       outcome.pods = group.pods;
       outcome.load = group.load;
-      outcome.score = decision.score;
-      const int first = supervisor_.roster().Allocate(group.pods);
-      if (first >= 0) {
-        outcome.placed = true;
-        outcome.first_machine = first;
-        machines_used_ = std::max(machines_used_, first + group.pods);
+      outcome.score = placement.score;
+      outcome.first_machine = placement.first_machine;
+      outcome.placed = placement.first_machine >= 0;
+      if (outcome.placed) {
+        machines_used_ =
+            std::max(machines_used_, outcome.first_machine + group.pods);
       }
       const ObsPlacementOp op = !outcome.placed ? ObsPlacementOp::kGroupUnplaced
                                 : outcome.run_solo ? ObsPlacementOp::kGroupSolo
                                                    : ObsPlacementOp::kGroupPlaced;
       const uint8_t detail = op == ObsPlacementOp::kGroupPlaced
-                                 ? static_cast<uint8_t>(decision.be)
+                                 ? static_cast<uint8_t>(placement.be)
                                  : uint8_t{0};
       events_.push_back(PlacementEvent(now_s, op, outcome.first_machine,
-                                       group.group, group.pods, decision.score,
+                                       group.group, group.pods, placement.score,
                                        group.load, detail));
     }
 
@@ -574,13 +519,20 @@ class RequestExecution {
       if (!outcome.placed) {
         continue;
       }
-      GroupSlot& slot = slots_[static_cast<size_t>(g)];
-      slot.outcome = index;
-      slot.start_s = 0.0;
-      slot.trial_request = TrialRequest(request_, outcome, groups_per_epoch_);
-      slot.trial = std::make_unique<Trial>(slot.trial_request);
-      slot.trial->Start();
+      StartTrial(slots_[static_cast<size_t>(g)], index, 0.0,
+                 TrialRequest(request_, outcome, groups_per_epoch_, model_of_));
     }
+  }
+
+  // Points `slot` at outcomes_[outcome] and starts its trial at the
+  // epoch-local `start_s`.
+  void StartTrial(GroupSlot& slot, size_t outcome, double start_s,
+                  RunRequest request) {
+    slot.outcome = outcome;
+    slot.start_s = start_s;
+    slot.trial_request = std::move(request);
+    slot.trial = std::make_unique<Trial>(slot.trial_request);
+    slot.trial->Start();
   }
 
   // Advances every live trial from `from` to `to` (epoch-local) in
@@ -591,8 +543,6 @@ class RequestExecution {
   void AdvanceSegment(int epoch, double from, double to, bool suppress_final) {
     std::vector<ShardUnit> units;
     units.reserve(slots_.size());
-    const double epoch_base_s = epoch * epoch_span_s_;
-    const bool ticks = request_.record_tick_events;
     for (int g = 0; g < groups_per_epoch_; ++g) {
       GroupSlot& slot = slots_[static_cast<size_t>(g)];
       if (slot.trial == nullptr) {
@@ -604,32 +554,15 @@ class RequestExecution {
       unit.weight = static_cast<double>(outcome.pods);
       Trial* trial = slot.trial.get();
       GroupSlot* home = &slot;
-      const int group = outcome.group;
-      const int first_machine = outcome.first_machine;
       const double start_s = slot.start_s;
       // Captures copies and slot pointers only: outcomes_ grows when
       // failovers start, so no reference into it may outlive this scope.
-      unit.advance = [trial, home, group, first_machine, start_s, epoch_base_s,
-                      ticks](double end_time) {
+      unit.advance = [trial, home, start_s](double end_time) {
         if (home->error != nullptr) {
           return;  // failed earlier; hold the island at its failure point.
         }
         try {
           trial->AdvanceTo(end_time - start_s);
-          if (ticks) {
-            // Plain counter reads only — emission must not perturb the run.
-            ObsEvent event;
-            event.time_s = epoch_base_s + end_time;
-            event.machine = first_machine;
-            event.kind = ObsKind::kPlacement;
-            event.code = static_cast<uint8_t>(ObsPlacementOp::kTickBarrier);
-            event.a = static_cast<double>(group);
-            event.b =
-                static_cast<double>(trial->deployment().TotalSlaViolations());
-            event.c = static_cast<double>(trial->deployment().TotalBeKills());
-            event.d = trial->now();
-            home->tick_events.push_back(event);
-          }
         } catch (...) {
           home->error = std::current_exception();
         }
@@ -785,15 +718,14 @@ class RequestExecution {
   void Failover(int epoch, double window_s, double cluster_t,
                 const std::vector<int>& victim_slots,
                 const std::vector<double>& victim_latency) {
-    // Victim view, renumbered 0..n-1 (PlacementDecision::group indexes the
-    // pending list); the quota re-offers each victim's epoch BE assignment.
+    // Victim view, renumbered 0..n-1 in victim order (placements index
+    // victim_slots and victim_latency); the quota re-offers each victim's
+    // epoch BE assignment.
     ClusterView victims;
     victims.spec = &request_.spec;
     victims.epoch = epoch;
     victims.load_scale = EpochLoadScale(request_, epoch);
     victims.model = model_of_;
-    std::vector<int> original_groups;
-    original_groups.reserve(victim_slots.size());
     for (int g : victim_slots) {
       const GroupOutcome& dead = outcomes_[slots_[static_cast<size_t>(g)].outcome];
       PendingGroup pending;
@@ -803,47 +735,14 @@ class RequestExecution {
       pending.pods = dead.pods;
       victims.pending.push_back(pending);
       victims.be_quota.push_back(dead.be);
-      original_groups.push_back(dead.group);
     }
 
-    std::vector<FailoverDecision> plan =
-        supervisor_.PlanFailover(*policy_, victims, original_groups);
-
-    // Latency lookup by original group id (victim_slots holds slot == group).
-    auto latency_of = [&](int group) {
-      for (size_t v = 0; v < victim_slots.size(); ++v) {
-        if (original_groups[v] == group) {
-          return victim_latency[v];
-        }
-      }
-      return 0.0;
-    };
-    auto slot_of = [&](int group) -> GroupSlot& {
-      for (size_t v = 0; v < victim_slots.size(); ++v) {
-        if (original_groups[v] == group) {
-          return slots_[static_cast<size_t>(victim_slots[v])];
-        }
-      }
-      throw std::logic_error("failover decision names a non-victim group");
-    };
-
-    if (plan.empty()) {
-      // Supervisor disabled: every victim is lost for the rest of the epoch.
-      for (int g : victim_slots) {
-        const GroupOutcome& dead = outcomes_[slots_[static_cast<size_t>(g)].outcome];
-        ++groups_lost_;
-        ++epoch_lost_;
-        events_.push_back(PlacementEvent(cluster_t, ObsPlacementOp::kGroupDown,
-                                         dead.first_machine, dead.group,
-                                         dead.pods, 0.0, 0.0));
-      }
-      return;
-    }
-
-    for (const FailoverDecision& decision : plan) {
-      GroupSlot& slot = slot_of(decision.group);
+    for (const GroupPlacement& placement :
+         supervisor_.PlanFailover(*policy_, victims)) {
+      GroupSlot& slot =
+          slots_[static_cast<size_t>(victim_slots[placement.group])];
       const GroupOutcome dead = outcomes_[slot.outcome];  // copy: vector grows.
-      if (decision.first_machine < 0) {
+      if (placement.first_machine < 0) {
         ++groups_lost_;
         ++epoch_lost_;
         events_.push_back(PlacementEvent(cluster_t, ObsPlacementOp::kGroupDown,
@@ -857,35 +756,31 @@ class RequestExecution {
       replacement.epoch = epoch;
       replacement.group = dead.group;
       replacement.app = dead.app;
-      replacement.be = decision.be;
+      replacement.be = placement.be;
       replacement.placed = true;
-      replacement.run_solo = decision.run_solo;
-      replacement.first_machine = decision.first_machine;
+      replacement.run_solo = placement.run_solo;
+      replacement.first_machine = placement.first_machine;
       replacement.pods = dead.pods;
       replacement.load = dead.load;
-      replacement.score = decision.score;
+      replacement.score = placement.score;
       replacement.incarnation = incarnation;
       replacement.start_s = window_s;
       machines_used_ =
-          std::max(machines_used_, decision.first_machine + dead.pods);
+          std::max(machines_used_, placement.first_machine + dead.pods);
       pods_migrated_ += dead.pods;
       ++groups_failed_over_;
       ++epoch_failed_over_;
 
-      const double latency = latency_of(decision.group);
       events_.push_back(PlacementEvent(
-          cluster_t, ObsPlacementOp::kFailover, decision.first_machine,
-          dead.group, dead.pods, incarnation, latency,
-          decision.run_solo ? uint8_t{0}
-                            : static_cast<uint8_t>(decision.be)));
+          cluster_t, ObsPlacementOp::kFailover, placement.first_machine,
+          dead.group, dead.pods, incarnation,
+          victim_latency[static_cast<size_t>(placement.group)],
+          placement.run_solo ? uint8_t{0}
+                             : static_cast<uint8_t>(placement.be)));
 
       outcomes_.push_back(replacement);
-      slot.outcome = outcomes_.size() - 1;
-      slot.start_s = window_s;
-      slot.trial_request =
-          FailoverTrialRequest(replacement, window_s, incarnation);
-      slot.trial = std::make_unique<Trial>(slot.trial_request);
-      slot.trial->Start();
+      StartTrial(slot, outcomes_.size() - 1, window_s,
+                 FailoverTrialRequest(replacement, window_s, incarnation));
     }
   }
 
@@ -894,7 +789,8 @@ class RequestExecution {
   // BE re-admission backs off under a kBeAdmissionHold window per pod.
   RunRequest FailoverTrialRequest(const GroupOutcome& replacement,
                                   double start_s, int incarnation) {
-    RunRequest trial = TrialRequest(request_, replacement, groups_per_epoch_);
+    RunRequest trial =
+        TrialRequest(request_, replacement, groups_per_epoch_, model_of_);
     const double remaining = epoch_span_s_ - start_s;
     trial.warmup_s = std::min(request_.warmup_s, 0.5 * remaining);
     trial.measure_s = remaining - trial.warmup_s;
@@ -960,7 +856,7 @@ class RequestExecution {
       }
       checker_.CheckAssignments(snap.time_s, live_ranges);
     }
-    supervisor_.ObserveBarrier(snap);
+    supervisor_.ObserveBarrier();
     if (request_.on_tick) {
       request_.on_tick(snap);
     }
@@ -1046,24 +942,6 @@ class RequestExecution {
   std::vector<int> rejoined_pending_;
 };
 
-// Per-app tick totals are finalized after the trial summaries are in.
-void FinalizeAppRates(const ClusterRunRequest& request,
-                      ClusterSummary& summary) {
-  std::map<LcAppKind, double> pod_ticks;
-  for (const GroupOutcome& outcome : summary.groups) {
-    if (outcome.placed) {
-      pod_ticks[outcome.app] += outcome.pods * outcome.served_measure_s /
-                                MachineAgent::kPeriodSeconds;
-    }
-  }
-  for (AppClusterStats& app : summary.per_app) {
-    const double ticks = pod_ticks[app.app];
-    app.slo_violation_rate =
-        ticks > 0.0 ? static_cast<double>(app.sla_violations) / ticks : 0.0;
-  }
-  (void)request;
-}
-
 void ExportRecording(const ClusterRunRequest& request,
                      const Recording& recording) {
   if (!request.obs.enabled) {
@@ -1130,7 +1008,6 @@ std::vector<ClusterSummary> RunClusterPlan(const ClusterRunPlan& plan,
     RequestExecution execution(request);
     execution.Run(engine);
     summaries.push_back(execution.Summarize());
-    FinalizeAppRates(request, summaries.back());
     ExportRecording(request, summaries.back().recording);
   }
   return summaries;

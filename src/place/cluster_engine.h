@@ -79,10 +79,6 @@ struct ClusterRunRequest {
   // conservative-window barrier with a slot-order-merged snapshot of the
   // running groups. Must be read-only; see src/control/cluster_tick.h.
   ClusterTickHook on_tick;
-  // Opt-in per-group barrier events (ObsPlacementOp::kTickBarrier) merged
-  // into the recording. Off by default: a long run emits one event per
-  // placed group per 2 s window.
-  bool record_tick_events = false;
   std::string label;
 };
 

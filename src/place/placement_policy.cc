@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace rhythm {
 
@@ -32,6 +33,21 @@ std::map<std::string, PlacementPolicyFactory>& Registry() {
 }
 
 }  // namespace
+
+ClusterView EpochView(const ClusterSpec& spec, int epoch, double load_scale,
+                      std::function<const AppPlacementModel&(LcAppKind)> model) {
+  ClusterView view;
+  view.spec = &spec;
+  view.epoch = epoch;
+  view.load_scale = load_scale;
+  view.pending = ExpandGroups(spec);
+  for (PendingGroup& group : view.pending) {
+    group.load = std::clamp(group.load * load_scale, 0.0, 1.0);
+  }
+  view.be_quota = ExpandBeQuota(spec, static_cast<int>(view.pending.size()));
+  view.model = std::move(model);
+  return view;
+}
 
 bool RegisterPlacementPolicy(const std::string& name,
                              PlacementPolicyFactory factory) {

@@ -46,6 +46,12 @@ struct ClusterView {
   std::function<const AppPlacementModel&(LcAppKind)> model;
 };
 
+// The view of one placement epoch: `spec`'s groups with loads scaled by
+// `load_scale` and clamped to [0, 1], and the BE quota expanded to one slot
+// per group. The view points at `spec`, which must outlive it.
+ClusterView EpochView(const ClusterSpec& spec, int epoch, double load_scale,
+                      std::function<const AppPlacementModel&(LcAppKind)> model);
+
 // One group's placement. Decisions are returned in priority order; the
 // engine allocates machines in that order and marks the overflow unplaced.
 struct PlacementDecision {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/control/cluster_supervisor.h"
 #include "src/fault/fault_schedule_io.h"
 #include "src/place/interference_score.h"
 #include "src/place/placement_policy.h"
@@ -26,6 +27,11 @@ std::string Normalize(const std::string& name) {
   }
   return out;
 }
+
+// Largest cluster a query may describe. The engine and /v1/placements
+// allocate per-machine state up front, so an unbounded count from a client
+// would size those allocations.
+constexpr int64_t kMaxMachines = 1000000;
 
 [[noreturn]] void Reject(const std::string& what) {
   throw std::invalid_argument("whatif: " + what);
@@ -181,7 +187,11 @@ RunRequest ParseTrial(const JsonValue& body) {
 }
 
 ClusterSpec ParseClusterSpec(const JsonValue& body) {
-  const int machines = static_cast<int>(body.IntOr("machines", 32));
+  const int64_t machines_in = body.IntOr("machines", 32);
+  if (machines_in <= 0 || machines_in > kMaxMachines) {
+    Reject("\"machines\" must be in [1, " + std::to_string(kMaxMachines) + "]");
+  }
+  const int machines = static_cast<int>(machines_in);
   if (body.BoolOr("synthetic", false)) {
     const uint64_t spec_seed = static_cast<uint64_t>(
         body.IntOr("synthetic_seed", body.IntOr("seed", 11)));
@@ -529,25 +539,18 @@ std::string PlacementsResponseJson(const JsonValue& body) {
     }
   }
 
-  // The same view the cluster engine builds for an epoch (loads scaled,
-  // quota expanded), with models cached per app.
-  ClusterView view;
-  view.spec = &spec;
-  view.epoch = epoch;
-  view.load_scale = load_scale;
-  view.pending = ExpandGroups(spec);
-  for (PendingGroup& group : view.pending) {
-    group.load = std::clamp(group.load * load_scale, 0.0, 1.0);
-  }
-  view.be_quota = ExpandBeQuota(spec, static_cast<int>(view.pending.size()));
+  // The cluster engine's epoch view and placement step, with models cached
+  // per app and a fresh roster per policy.
   auto models = std::make_shared<std::map<LcAppKind, AppPlacementModel>>();
-  view.model = [models](LcAppKind app) -> const AppPlacementModel& {
-    auto found = models->find(app);
-    if (found == models->end()) {
-      found = models->emplace(app, DefaultPlacementModel(app)).first;
-    }
-    return found->second;
-  };
+  const ClusterView view = EpochView(
+      spec, epoch, load_scale,
+      [models](LcAppKind app) -> const AppPlacementModel& {
+        auto found = models->find(app);
+        if (found == models->end()) {
+          found = models->emplace(app, DefaultPlacementModel(app)).first;
+        }
+        return found->second;
+      });
 
   JsonWriter w;
   w.BeginObject()
@@ -559,49 +562,39 @@ std::string PlacementsResponseJson(const JsonValue& body) {
       .Key("policies").BeginArray();
   for (const std::string& name : policies) {
     std::unique_ptr<PlacementPolicy> policy = MakePlacementPolicy(name, seed);
-    policy->OnTick(view);
-    const std::vector<PlacementDecision> decisions = policy->Decide(view);
-    if (decisions.size() != view.pending.size()) {
-      Reject("policy \"" + name + "\" returned " +
-             std::to_string(decisions.size()) + " decisions for " +
-             std::to_string(view.pending.size()) + " groups");
-    }
-    // Fault-free first-fit is the plain cursor allocation — the exact
-    // machines the cluster engine would hand these decisions.
-    int cursor = 0;
+    MachineRoster roster(spec.machines);
     int placed = 0;
+    int machines_used = 0;
     JsonWriter decisions_json;
     decisions_json.BeginArray();
-    for (const PlacementDecision& decision : decisions) {
-      if (decision.group < 0 ||
-          decision.group >= static_cast<int>(view.pending.size())) {
-        Reject("policy \"" + name + "\" decided an unknown group");
-      }
-      const PendingGroup& group = view.pending[static_cast<size_t>(decision.group)];
-      const bool fits = cursor + group.pods <= spec.machines;
+    for (const GroupPlacement& placement :
+         PlaceGroups(*policy, view, roster, /*force_solo=*/false)) {
+      const PendingGroup& group = view.pending[static_cast<size_t>(placement.group)];
+      const bool fits = placement.first_machine >= 0;
       decisions_json.BeginObject()
           .Key("group").Int(group.group)
           .Key("app").String(LcAppKindName(group.app))
           .Key("pods").Int(group.pods)
           .Key("load").Number(group.load)
-          .Key("solo").Bool(decision.run_solo)
-          .Key("score").Number(decision.score)
+          .Key("solo").Bool(placement.run_solo)
+          .Key("score").Number(placement.score)
           .Key("placed").Bool(fits)
-          .Key("first_machine").Int(fits ? cursor : -1);
-      if (!decision.run_solo) {
-        decisions_json.Key("be").String(BeJobKindName(decision.be));
+          .Key("first_machine").Int(placement.first_machine);
+      if (!placement.run_solo) {
+        decisions_json.Key("be").String(BeJobKindName(placement.be));
       }
       decisions_json.EndObject();
       if (fits) {
-        cursor += group.pods;
         ++placed;
+        machines_used =
+            std::max(machines_used, placement.first_machine + group.pods);
       }
     }
     decisions_json.EndArray();
     w.BeginObject()
         .Key("policy").String(name)
         .Key("groups_placed").Int(placed)
-        .Key("machines_used").Int(cursor)
+        .Key("machines_used").Int(machines_used)
         .Key("decisions").Raw(decisions_json.str())
         .EndObject();
   }

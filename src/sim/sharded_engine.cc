@@ -50,7 +50,6 @@ void ShardedEngine::Advance(
       }
     });
     ++windows_run_;
-    ++barriers_;
     if (on_window) {
       on_window(window_end);
     }

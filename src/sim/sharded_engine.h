@@ -73,14 +73,10 @@ class ShardedEngine {
 
   // Windows executed by Advance calls so far (for tests and benches).
   uint64_t windows_run() const { return windows_run_; }
-  // Barrier phases executed (== windows_run, kept separate in case the
-  // engine ever adds half-window phases).
-  uint64_t barriers() const { return barriers_; }
 
  private:
   ShardPool* pool_;
   uint64_t windows_run_ = 0;
-  uint64_t barriers_ = 0;
 };
 
 }  // namespace rhythm

@@ -1,7 +1,6 @@
 // The partitioned cluster engine: bit-identical summaries at any shard
 // count, slot-order-merged barrier snapshots for the top-controller hook,
-// opt-in kTickBarrier event streams independent of the shard layout, and
-// the synthetic datacenter-scale spec.
+// and the synthetic datacenter-scale spec.
 
 #include <gtest/gtest.h>
 
@@ -86,46 +85,14 @@ void ExpectBitIdentical(const ClusterSummary& a, const ClusterSummary& b) {
 
 TEST(ShardedClusterTest, ShardCountDoesNotChangeResults) {
   // The tentpole guarantee: RHYTHM_SHARDS is a performance knob only.
-  ClusterRunRequest request = SmallRequest(kPolicyRhythmAware);
-  request.epochs = 2;
-  const ClusterSummary serial = RunAtShards(request, 1);
-  for (int shards : {2, 3, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ExpectBitIdentical(serial, RunAtShards(request, shards));
-  }
-}
-
-TEST(ShardedClusterTest, ShardCountInvarianceHoldsWithTickEvents) {
-  ClusterRunRequest request = SmallRequest(kPolicyBinPacking);
-  request.record_tick_events = true;
-  const ClusterSummary serial = RunAtShards(request, 1);
-  const ClusterSummary wide = RunAtShards(request, 4);
-  ExpectBitIdentical(serial, wide);
-
-  // Tick events actually appear: one per placed group per 2 s window, all
-  // well-formed, timeline sorted.
-  const size_t windows = static_cast<size_t>(
-      (request.warmup_s + request.measure_s) / MachineAgent::kPeriodSeconds);
-  size_t ticks = 0;
-  double last_time = 0.0;
-  for (const ObsEvent& event : serial.recording.events) {
-    EXPECT_GE(event.time_s, last_time);
-    last_time = event.time_s;
-    if (static_cast<ObsPlacementOp>(event.code) ==
-        ObsPlacementOp::kTickBarrier) {
-      ++ticks;
-      EXPECT_GE(event.machine, 0);
-      EXPECT_GE(event.d, MachineAgent::kPeriodSeconds);  // local clock.
+  for (const char* policy : {kPolicyRhythmAware, kPolicyBinPacking}) {
+    ClusterRunRequest request = SmallRequest(policy);
+    request.epochs = 2;
+    const ClusterSummary serial = RunAtShards(request, 1);
+    for (int shards : {2, 3, 8}) {
+      SCOPED_TRACE(std::string(policy) + " shards=" + std::to_string(shards));
+      ExpectBitIdentical(serial, RunAtShards(request, shards));
     }
-  }
-  EXPECT_EQ(ticks, windows * static_cast<size_t>(serial.groups_placed));
-}
-
-TEST(ShardedClusterTest, TickEventsAreOffByDefault) {
-  const ClusterSummary summary = RunCluster(SmallRequest(kPolicyRhythmAware));
-  for (const ObsEvent& event : summary.recording.events) {
-    EXPECT_NE(static_cast<ObsPlacementOp>(event.code),
-              ObsPlacementOp::kTickBarrier);
   }
 }
 

@@ -141,6 +141,13 @@ TEST(ParseWhatIfTest, RejectsBadBodies) {
   EXPECT_THROW(ParseWhatIfQuery(MustParse(
                    "{\"kind\":\"cluster\",\"lc_demand\":[]}")),
                std::invalid_argument);
+  for (const char* machines : {"0", "-3", "1000001"}) {
+    EXPECT_THROW(ParseWhatIfQuery(MustParse(
+                     std::string("{\"kind\":\"cluster\",\"machines\":") +
+                     machines + "}")),
+                 std::invalid_argument)
+        << machines;
+  }
 }
 
 TEST(ParseWhatIfTest, LoadProfilesConstruct) {
@@ -273,6 +280,11 @@ TEST(PlacementsTest, PolicySubsetAndUnknownPolicy) {
   EXPECT_THROW(
       PlacementsResponseJson(MustParse("{\"policies\":[\"astrology\"]}")),
       std::invalid_argument);
+  for (const char* body : {"{\"machines\":0}", "{\"machines\":-3}",
+                           "{\"machines\":1000001}"}) {
+    EXPECT_THROW(PlacementsResponseJson(MustParse(body)), std::invalid_argument)
+        << body;
+  }
 }
 
 // N parallel clients posting the identical query must all receive
@@ -327,6 +339,9 @@ TEST(DaemonEndpointTest, SchemaErrorsMapToCleanStatuses) {
   EXPECT_EQ(Fetch(port, "POST", "/v1/whatif", "{\"bogus\":1}").status, 422);
   EXPECT_EQ(Fetch(port, "GET", "/v1/whatif").status, 405);
   EXPECT_EQ(Fetch(port, "GET", "/nope").status, 404);
+  EXPECT_EQ(Fetch(port, "POST", "/v1/placements", "{\"machines\":0}").status,
+            422);
+  EXPECT_EQ(Fetch(port, "GET", "/healthz").status, 200);
 
   const TestResponse metrics = Fetch(port, "GET", "/metrics");
   EXPECT_EQ(metrics.status, 200);

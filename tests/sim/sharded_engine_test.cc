@@ -170,7 +170,7 @@ TEST(ShardedEngineTest, BarrierHookSeesAllIslandsAtRest) {
     }
   });
   EXPECT_EQ(hooks, 5);
-  EXPECT_EQ(engine.barriers(), 5u);
+  EXPECT_EQ(engine.windows_run(), 5u);
 }
 
 TEST(ShardedEngineTest, NonPositiveWindowCollapsesToOneWindow) {
