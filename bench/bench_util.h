@@ -112,7 +112,8 @@ class JsonWriter {
     return *this;
   }
   JsonWriter& EndObject() {
-    out_ += "\n" + Indent(--depth_) + "}";
+    out_ += "\n";
+    out_ += Indent(--depth_) + "}";
     fresh_ = false;
     return *this;
   }

@@ -112,6 +112,9 @@ void FaultInjector::Activate(const FaultEvent& event) {
       }
       break;
     case FaultKind::kLoadSpike:
+    // Cluster-scope kinds: Trial's validation keeps them off a deployment.
+    case FaultKind::kMachineFailure:
+    case FaultKind::kMachineRestart:
       break;
   }
 }
@@ -149,6 +152,8 @@ void FaultInjector::Deactivate(const FaultEvent& event) {
       break;
     case FaultKind::kBeInstanceFailure:
     case FaultKind::kLoadSpike:
+    case FaultKind::kMachineFailure:
+    case FaultKind::kMachineRestart:
       break;
   }
 }

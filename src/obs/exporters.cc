@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,7 +90,9 @@ std::string DetailName(const ObsEvent& event) {
 
 // Position just past `"key":`, or npos.
 size_t FindKey(const std::string& line, const char* key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle += key;
+  needle += "\":";
   const size_t at = line.find(needle);
   if (at == std::string::npos) {
     return std::string::npos;
@@ -110,6 +113,34 @@ double RequireNumber(const std::string& line, const char* key) {
   double value = 0.0;
   if (!ParseNumber(line, key, &value)) {
     throw std::runtime_error("recording JSONL: missing numeric field '" +
+                             std::string(key) + "' in: " + line);
+  }
+  return value;
+}
+
+// Integer fields are read as integers, exactly for any value of T: digits
+// that do not fit T, or that continue as a fraction or exponent, throw.
+template <typename T>
+bool ParseInteger(const std::string& line, const char* key, T* out) {
+  const size_t at = FindKey(line, key);
+  if (at == std::string::npos) {
+    return false;
+  }
+  const char* end = line.data() + line.size();
+  const auto [stop, error] = std::from_chars(line.data() + at, end, *out);
+  if (error != std::errc() ||
+      (stop != end && *stop != ',' && *stop != '}')) {
+    throw std::runtime_error("recording JSONL: field '" + std::string(key) +
+                             "' is not an integer in range in: " + line);
+  }
+  return true;
+}
+
+template <typename T>
+T RequireInteger(const std::string& line, const char* key) {
+  T value{};
+  if (!ParseInteger(line, key, &value)) {
+    throw std::runtime_error("recording JSONL: missing integer field '" +
                              std::string(key) + "' in: " + line);
   }
   return value;
@@ -387,26 +418,19 @@ Recording FromJsonl(const std::string& jsonl) {
       ParseString(line, "app", &recording.meta.app);
       ParseString(line, "be", &recording.meta.be);
       ParseString(line, "controller", &recording.meta.controller);
-      double value = 0.0;
-      if (ParseNumber(line, "seed", &value)) {
-        recording.meta.seed = static_cast<uint64_t>(value);
-      }
+      ParseInteger(line, "seed", &recording.meta.seed);
       ParseNumber(line, "sla_ms", &recording.meta.sla_ms);
       ParseNumber(line, "period_s", &recording.meta.controller_period_s);
       recording.meta.pods = ParseStringArray(line, "pods");
-      if (ParseNumber(line, "events_total", &value)) {
-        recording.events_total = static_cast<uint64_t>(value);
-      }
-      if (ParseNumber(line, "events_dropped", &value)) {
-        recording.events_dropped = static_cast<uint64_t>(value);
-      }
+      ParseInteger(line, "events_total", &recording.events_total);
+      ParseInteger(line, "events_dropped", &recording.events_dropped);
     } else if (type == "event") {
       ObsEvent event;
       event.time_s = RequireNumber(line, "t");
-      event.machine = static_cast<int32_t>(RequireNumber(line, "machine"));
-      event.kind = static_cast<ObsKind>(static_cast<int>(RequireNumber(line, "k")));
-      event.code = static_cast<uint8_t>(RequireNumber(line, "code"));
-      event.detail = static_cast<uint8_t>(RequireNumber(line, "detail"));
+      event.machine = RequireInteger<int32_t>(line, "machine");
+      event.kind = static_cast<ObsKind>(RequireInteger<uint8_t>(line, "k"));
+      event.code = RequireInteger<uint8_t>(line, "code");
+      event.detail = RequireInteger<uint8_t>(line, "detail");
       event.a = RequireNumber(line, "a");
       event.b = RequireNumber(line, "b");
       event.c = RequireNumber(line, "c");
@@ -417,14 +441,12 @@ Recording FromJsonl(const std::string& jsonl) {
       if (!ParseString(line, "name", &metric.name)) {
         throw std::runtime_error("recording JSONL: metric without name: " + line);
       }
-      double value = 0.0;
-      if (ParseNumber(line, "mtype", &value)) {
-        metric.type = static_cast<MetricType>(static_cast<int>(value));
+      uint8_t type = 0;
+      if (ParseInteger(line, "mtype", &type)) {
+        metric.type = static_cast<MetricType>(type);
       }
       ParseNumber(line, "q", &metric.quantile);
-      if (ParseNumber(line, "obs", &value)) {
-        metric.observations = static_cast<uint64_t>(value);
-      }
+      ParseInteger(line, "obs", &metric.observations);
       ParseNumber(line, "current", &metric.current);
       metric.timeline = ParsePoints(line);
       recording.metrics.push_back(std::move(metric));
@@ -576,6 +598,24 @@ bool WritePerfettoTrace(const Recording& recording, const std::string& path) {
 
 bool WriteMetricsCsv(const Recording& recording, const std::string& path) {
   return WriteFile(path, ToMetricsCsv(recording));
+}
+
+void ExportRecording(const Recording& recording, const ObsOptions& obs) {
+  if (!obs.enabled) {
+    return;
+  }
+  if (!obs.export_jsonl.empty() && !WriteJsonl(recording, obs.export_jsonl)) {
+    throw std::runtime_error("cannot write recording to " + obs.export_jsonl);
+  }
+  if (!obs.export_perfetto.empty() &&
+      !WritePerfettoTrace(recording, obs.export_perfetto)) {
+    throw std::runtime_error("cannot write trace to " + obs.export_perfetto);
+  }
+  if (!obs.export_metrics_csv.empty() &&
+      !WriteMetricsCsv(recording, obs.export_metrics_csv)) {
+    throw std::runtime_error("cannot write metrics to " +
+                             obs.export_metrics_csv);
+  }
 }
 
 Recording LoadJsonl(const std::string& path) {

@@ -38,6 +38,11 @@ bool WriteJsonl(const Recording& recording, const std::string& path);
 bool WritePerfettoTrace(const Recording& recording, const std::string& path);
 bool WriteMetricsCsv(const Recording& recording, const std::string& path);
 
+// Writes `recording` to every export path `obs` names (nothing when obs is
+// disabled) — the one export step of trials and cluster runs. Throws
+// std::runtime_error naming the first path it cannot write.
+void ExportRecording(const Recording& recording, const ObsOptions& obs);
+
 // Loads a JSONL recording from disk; throws std::runtime_error when the file
 // cannot be read or parsed.
 Recording LoadJsonl(const std::string& path);

@@ -74,6 +74,13 @@ ObsEvent PlacementEvent(double time_s, ObsPlacementOp op, int machine,
   return event;
 }
 
+// Whether a group kept its effective assignment between two epochs' placements:
+// the same placed-ness and solo flag, and the same BE when it runs co-located.
+bool SameAssignment(const GroupOutcome& was, const GroupOutcome& now) {
+  return now.placed == was.placed && now.run_solo == was.run_solo &&
+         (now.run_solo || !now.placed || now.be == was.be);
+}
+
 // One scheduled machine-liveness edge, quantized to its enactment barrier.
 // Barriers are the conservative-window boundaries: epoch-local multiples of
 // MachineAgent::kPeriodSeconds, plus every epoch start. An edge lands at the
@@ -289,129 +296,16 @@ class RequestExecution {
   }
 
   ClusterSummary Summarize() {
-    // Failover incarnations were appended as they started; present them
-    // epoch-major with each group's incarnations together.
-    std::stable_sort(outcomes_.begin(), outcomes_.end(),
-                     [](const GroupOutcome& a, const GroupOutcome& b) {
-                       if (a.epoch != b.epoch) {
-                         return a.epoch < b.epoch;
-                       }
-                       if (a.group != b.group) {
-                         return a.group < b.group;
-                       }
-                       return a.incarnation < b.incarnation;
-                     });
-
-    ClusterSummary summary;
-    summary.policy = request_.policy;
-    summary.label = request_.label;
-    summary.machines = request_.spec.machines;
-    summary.machines_used = machines_used_;
-    summary.epochs = request_.epochs;
-    summary.groups_total = groups_per_epoch_ * request_.epochs;
-    summary.placement_churn = placement_churn_;
-
-    const double machines = static_cast<double>(request_.spec.machines);
-    std::map<LcAppKind, size_t> app_index;
-    std::vector<double> app_weight;     // served-fraction sums, per app entry.
-    std::vector<double> app_pod_ticks;  // pods * served / period, per app.
-    double placed_pod_ticks = 0.0;
-
-    for (const GroupOutcome& outcome : outcomes_) {
-      if (outcome.incarnation == 0) {
-        if (!outcome.placed) {
-          ++summary.groups_unplaced;
-        } else {
-          ++summary.groups_placed;
-          if (outcome.run_solo) {
-            ++summary.solo_groups;
-          }
-        }
-      }
-
-      auto it = app_index.find(outcome.app);
-      if (it == app_index.end()) {
-        it = app_index.emplace(outcome.app, summary.per_app.size()).first;
-        summary.per_app.push_back(AppClusterStats{});
-        summary.per_app.back().app = outcome.app;
-        app_weight.push_back(0.0);
-        app_pod_ticks.push_back(0.0);
-      }
-      AppClusterStats& app = summary.per_app[it->second];
-      if (!outcome.placed) {
-        ++app.unplaced;
-        continue;
-      }
-
-      // A disrupted incarnation only served part of the epoch's measurement
-      // window; weight its rates by the served fraction. Undisrupted epoch
-      // placements carry served == measure_s, so the fraction is exactly 1.0
-      // and fault-free arithmetic is bit-identical to the pre-failure-domain
-      // rollup.
-      const double fraction = outcome.served_measure_s / request_.measure_s;
-      const double weight = fraction * (outcome.pods / machines);
-      summary.emu += weight * outcome.summary.emu;
-      summary.lc_throughput += weight * outcome.summary.lc_throughput;
-      summary.be_throughput += weight * outcome.summary.be_throughput;
-      summary.cpu_util += weight * outcome.summary.cpu_util;
-      summary.membw_util += weight * outcome.summary.membw_util;
-      summary.sla_violations += outcome.summary.sla_violations;
-      summary.be_kills += outcome.summary.be_kills;
-      summary.worst_tail_ratio =
-          std::max(summary.worst_tail_ratio, outcome.summary.worst_tail_ratio);
-      const double pod_ticks =
-          outcome.pods * outcome.served_measure_s / MachineAgent::kPeriodSeconds;
-      placed_pod_ticks += pod_ticks;
-      app_pod_ticks[it->second] += pod_ticks;
-
-      ++app.trials;
-      app_weight[it->second] += fraction;
-      app.emu += fraction * outcome.summary.emu;
-      app.lc_throughput += fraction * outcome.summary.lc_throughput;
-      app.sla_violations += outcome.summary.sla_violations;
-      app.worst_tail_ratio =
-          std::max(app.worst_tail_ratio, outcome.summary.worst_tail_ratio);
-    }
-
-    // Machine-normalized quantities are per-epoch averages.
-    const double epochs = static_cast<double>(request_.epochs);
-    summary.emu /= epochs;
-    summary.lc_throughput /= epochs;
-    summary.be_throughput /= epochs;
-    summary.cpu_util /= epochs;
-    summary.membw_util /= epochs;
-
-    if (placed_pod_ticks > 0.0) {
-      summary.slo_violation_rate =
-          static_cast<double>(summary.sla_violations) / placed_pod_ticks;
-    }
-    for (size_t a = 0; a < summary.per_app.size(); ++a) {
-      AppClusterStats& app = summary.per_app[a];
-      if (app_weight[a] > 0.0) {
-        app.emu /= app_weight[a];
-        app.lc_throughput /= app_weight[a];
-      }
-      if (app_pod_ticks[a] > 0.0) {
-        app.slo_violation_rate =
-            static_cast<double>(app.sla_violations) / app_pod_ticks[a];
-      }
-    }
-
-    // Failure-domain accounting.
+    ClusterSummary summary = RollupCluster(request_, std::move(outcomes_));
+    // What the outcomes do not record: machine liveness edges, failover
+    // latency, degraded time and the cluster-scope invariant findings.
     summary.machines_failed = machines_failed_;
     summary.machines_restarted = machines_restarted_;
     summary.machines_down_end = supervisor_.roster().down();
-    summary.groups_disrupted = groups_disrupted_;
-    summary.groups_failed_over = groups_failed_over_;
-    summary.groups_lost = groups_lost_;
-    summary.pods_migrated = pods_migrated_;
-    summary.down_group_seconds = down_group_seconds_;
     summary.worst_failover_latency_s = worst_failover_latency_s_;
     summary.degraded_barriers = supervisor_.degraded_barriers();
     summary.cluster_invariant_violations = checker_.violations();
     summary.cluster_invariant_violations_total = checker_.total_violations();
-
-    summary.groups = std::move(outcomes_);
 
     summary.recording.meta.app = "cluster";
     summary.recording.meta.be = request_.policy;
@@ -438,6 +332,7 @@ class RequestExecution {
     epoch_disrupted_ = 0;
     epoch_failed_over_ = 0;
     epoch_lost_ = 0;
+    const size_t last_epoch_begin = epoch_outcomes_begin_;
     epoch_outcomes_begin_ = outcomes_.size();
     for (GroupSlot& slot : slots_) {
       slot.trial.reset();  // the old trial references the old request.
@@ -457,12 +352,12 @@ class RequestExecution {
                                      epoch, scale, 0.0, 0.0));
 
     // Degraded mode suspends BE cluster-wide by forcing every placement solo.
-    std::vector<GroupOutcome> epoch_placement(view.pending.size());
+    outcomes_.resize(epoch_outcomes_begin_ + view.pending.size());
     for (const GroupPlacement& placement :
          PlaceGroups(*policy_, view, supervisor_.roster(),
                      supervisor_.degraded())) {
       const PendingGroup& group = view.pending[placement.group];
-      GroupOutcome& outcome = epoch_placement[placement.group];
+      GroupOutcome& outcome = outcomes_[epoch_outcomes_begin_ + placement.group];
       outcome.epoch = epoch;
       outcome.group = group.group;
       outcome.app = group.app;
@@ -473,10 +368,6 @@ class RequestExecution {
       outcome.score = placement.score;
       outcome.first_machine = placement.first_machine;
       outcome.placed = placement.first_machine >= 0;
-      if (outcome.placed) {
-        machines_used_ =
-            std::max(machines_used_, outcome.first_machine + group.pods);
-      }
       const ObsPlacementOp op = !outcome.placed ? ObsPlacementOp::kGroupUnplaced
                                 : outcome.run_solo ? ObsPlacementOp::kGroupSolo
                                                    : ObsPlacementOp::kGroupPlaced;
@@ -489,26 +380,17 @@ class RequestExecution {
     }
 
     // Churn: any group whose effective assignment changed since last epoch.
-    if (!previous_.empty()) {
-      for (size_t g = 0; g < epoch_placement.size(); ++g) {
-        const GroupOutcome& now = epoch_placement[g];
-        const GroupOutcome& was = previous_[g];
-        const bool same = now.placed == was.placed &&
-                          now.run_solo == was.run_solo &&
-                          (now.run_solo || !now.placed || now.be == was.be);
-        if (!same) {
-          ++placement_churn_;
-          events_.push_back(PlacementEvent(
-              now_s, ObsPlacementOp::kChurn, now.first_machine, now.group,
-              now.pods, now.score, now.load,
-              now.placed && !now.run_solo ? static_cast<uint8_t>(now.be)
-                                          : uint8_t{0}));
-        }
+    // Each epoch's placement is the first entries from its begin index.
+    for (size_t g = 0; epoch > 0 && g < view.pending.size(); ++g) {
+      const GroupOutcome& now = outcomes_[epoch_outcomes_begin_ + g];
+      if (!SameAssignment(outcomes_[last_epoch_begin + g], now)) {
+        events_.push_back(PlacementEvent(
+            now_s, ObsPlacementOp::kChurn, now.first_machine, now.group,
+            now.pods, now.score, now.load,
+            now.placed && !now.run_solo ? static_cast<uint8_t>(now.be)
+                                        : uint8_t{0}));
       }
     }
-    previous_ = epoch_placement;
-    outcomes_.insert(outcomes_.end(), epoch_placement.begin(),
-                     epoch_placement.end());
 
     // Build this epoch's trials serially in slot order, so validation
     // errors surface lowest slot first — the flat runner's first-error
@@ -704,7 +586,6 @@ class RequestExecution {
                      0.0, slot.trial_request.measure_s);
       slot.trial.reset();
       supervisor_.roster().Release(outcome.first_machine, outcome.pods);
-      ++groups_disrupted_;
       ++epoch_disrupted_;
     }
 
@@ -743,7 +624,6 @@ class RequestExecution {
           slots_[static_cast<size_t>(victim_slots[placement.group])];
       const GroupOutcome dead = outcomes_[slot.outcome];  // copy: vector grows.
       if (placement.first_machine < 0) {
-        ++groups_lost_;
         ++epoch_lost_;
         events_.push_back(PlacementEvent(cluster_t, ObsPlacementOp::kGroupDown,
                                          dead.first_machine, dead.group,
@@ -765,10 +645,6 @@ class RequestExecution {
       replacement.score = placement.score;
       replacement.incarnation = incarnation;
       replacement.start_s = window_s;
-      machines_used_ =
-          std::max(machines_used_, placement.first_machine + dead.pods);
-      pods_migrated_ += dead.pods;
-      ++groups_failed_over_;
       ++epoch_failed_over_;
 
       events_.push_back(PlacementEvent(
@@ -874,30 +750,6 @@ class RequestExecution {
       outcome.served_measure_s = slot.trial_request.measure_s;
     }
 
-    // Demanded measurement seconds lost to machine loss: per disrupted
-    // group-epoch, the measure window minus every incarnation's served
-    // share, floored at zero (replacement windows can overlap the demand).
-    if (epoch_disrupted_ > 0) {
-      std::map<int, double> served;
-      std::map<int, bool> disrupted;
-      for (size_t i = epoch_outcomes_begin_; i < outcomes_.size(); ++i) {
-        const GroupOutcome& outcome = outcomes_[i];
-        if (!outcome.placed) {
-          continue;
-        }
-        served[outcome.group] += outcome.served_measure_s;
-        if (outcome.disrupted) {
-          disrupted[outcome.group] = true;
-        }
-      }
-      for (const auto& [group, hit] : disrupted) {
-        if (hit) {
-          down_group_seconds_ +=
-              std::max(0.0, request_.measure_s - served[group]);
-        }
-      }
-    }
-
     checker_.CheckConservation((epoch + 1) * epoch_span_s_, epoch,
                                epoch_disrupted_, epoch_failed_over_,
                                epoch_lost_);
@@ -919,19 +771,11 @@ class RequestExecution {
   std::vector<GroupSlot> slots_;  // fixed size: slot pointers stay valid.
   std::vector<GroupOutcome> outcomes_;
   std::vector<ObsEvent> events_;
-  std::vector<GroupOutcome> previous_;  // last epoch's placement, group order.
 
-  int placement_churn_ = 0;
-  int machines_used_ = 0;
-
-  // Failure-domain accounting (totals and per-epoch conservation counters).
+  // Failure-domain accounting the outcomes do not record, and the per-epoch
+  // counters the fail.conserve invariant and the tick snapshot read.
   int machines_failed_ = 0;
   int machines_restarted_ = 0;
-  int groups_disrupted_ = 0;
-  int groups_failed_over_ = 0;
-  int groups_lost_ = 0;
-  int pods_migrated_ = 0;
-  double down_group_seconds_ = 0.0;
   double worst_failover_latency_s_ = 0.0;
   int epoch_disrupted_ = 0;
   int epoch_failed_over_ = 0;
@@ -941,22 +785,6 @@ class RequestExecution {
   std::vector<int> lost_pending_;      // since the last emitted snapshot.
   std::vector<int> rejoined_pending_;
 };
-
-void ExportRecording(const ClusterRunRequest& request,
-                     const Recording& recording) {
-  if (!request.obs.enabled) {
-    return;
-  }
-  if (!request.obs.export_jsonl.empty()) {
-    WriteJsonl(recording, request.obs.export_jsonl);
-  }
-  if (!request.obs.export_perfetto.empty()) {
-    WritePerfettoTrace(recording, request.obs.export_perfetto);
-  }
-  if (!request.obs.export_metrics_csv.empty()) {
-    WriteMetricsCsv(recording, request.obs.export_metrics_csv);
-  }
-}
 
 }  // namespace
 
@@ -988,36 +816,169 @@ uint64_t DeriveFailoverSeed(uint64_t base_seed, int epoch, int groups_per_epoch,
                          flat * 1024 + static_cast<uint64_t>(incarnation));
 }
 
-std::vector<ClusterSummary> RunClusterPlan(const ClusterRunPlan& plan,
-                                           const RunnerOptions& options) {
-  for (const ClusterRunRequest& request : plan.requests) {
-    ValidateRequest(request);
-  }
-
-  // One shard pool serves the whole plan; each request's epochs run their
-  // placed groups concurrently between conservative-window barriers. Shard
-  // count is a performance knob only — summaries are bit-identical at any
-  // value.
-  const int shards = options.shards > 0 ? options.shards : DefaultShardCount();
-  ShardPool pool(shards);
-  ShardedEngine engine(&pool);
-
-  std::vector<ClusterSummary> summaries;
-  summaries.reserve(plan.requests.size());
-  for (const ClusterRunRequest& request : plan.requests) {
-    RequestExecution execution(request);
-    execution.Run(engine);
-    summaries.push_back(execution.Summarize());
-    ExportRecording(request, summaries.back().recording);
-  }
-  return summaries;
-}
-
 ClusterSummary RunCluster(const ClusterRunRequest& request,
                           const RunnerOptions& options) {
-  ClusterRunPlan plan;
-  plan.Add(request);
-  return std::move(RunClusterPlan(plan, options).front());
+  ValidateRequest(request);
+  // Each epoch runs its placed groups concurrently between conservative-window
+  // barriers. Shard count is a performance knob only — summaries are
+  // bit-identical at any value.
+  ShardPool pool(options.shards > 0 ? options.shards : DefaultShardCount());
+  ShardedEngine engine(&pool);
+  RequestExecution execution(request);
+  execution.Run(engine);
+  ClusterSummary summary = execution.Summarize();
+  ExportRecording(summary.recording, request.obs);
+  return summary;
+}
+
+ClusterSummary RollupCluster(const ClusterRunRequest& request,
+                             std::vector<GroupOutcome> outcomes) {
+  // Failover incarnations are appended as they start; present them
+  // epoch-major with each group's incarnations together.
+  std::stable_sort(outcomes.begin(), outcomes.end(),
+                   [](const GroupOutcome& a, const GroupOutcome& b) {
+                     if (a.epoch != b.epoch) {
+                       return a.epoch < b.epoch;
+                     }
+                     if (a.group != b.group) {
+                       return a.group < b.group;
+                     }
+                     return a.incarnation < b.incarnation;
+                   });
+
+  ClusterSummary summary;
+  summary.policy = request.policy;
+  summary.label = request.label;
+  summary.machines = request.spec.machines;
+  summary.epochs = request.epochs;
+  summary.groups_total = request.spec.TotalGroups() * request.epochs;
+
+  const double machines = static_cast<double>(request.spec.machines);
+  std::map<LcAppKind, size_t> app_index;
+  std::vector<double> app_weight;     // served-fraction sums, per app entry.
+  std::vector<double> app_pod_ticks;  // pods * served / period, per app.
+  double placed_pod_ticks = 0.0;
+  // Per group, its latest epoch placement (incarnation 0) so far.
+  std::map<int, const GroupOutcome*> last_placement;
+
+  for (const GroupOutcome& outcome : outcomes) {
+    if (outcome.incarnation == 0) {
+      if (!outcome.placed) {
+        ++summary.groups_unplaced;
+      } else {
+        ++summary.groups_placed;
+        if (outcome.run_solo) {
+          ++summary.solo_groups;
+        }
+      }
+      auto [was, first] = last_placement.try_emplace(outcome.group, &outcome);
+      if (!first) {
+        if (was->second->epoch + 1 == outcome.epoch &&
+            !SameAssignment(*was->second, outcome)) {
+          ++summary.placement_churn;
+        }
+        was->second = &outcome;
+      }
+    } else {
+      ++summary.groups_failed_over;
+      summary.pods_migrated += outcome.pods;
+    }
+    if (outcome.disrupted) {
+      ++summary.groups_disrupted;
+    }
+
+    auto it = app_index.find(outcome.app);
+    if (it == app_index.end()) {
+      it = app_index.emplace(outcome.app, summary.per_app.size()).first;
+      summary.per_app.push_back(AppClusterStats{});
+      summary.per_app.back().app = outcome.app;
+      app_weight.push_back(0.0);
+      app_pod_ticks.push_back(0.0);
+    }
+    AppClusterStats& app = summary.per_app[it->second];
+    if (!outcome.placed) {
+      ++app.unplaced;
+      continue;
+    }
+    summary.machines_used =
+        std::max(summary.machines_used, outcome.first_machine + outcome.pods);
+
+    // A disrupted incarnation only served part of the epoch's measurement
+    // window; weight its rates by the served fraction. Undisrupted epoch
+    // placements carry served == measure_s, so the fraction is exactly 1.0
+    // and fault-free arithmetic is bit-identical to the pre-failure-domain
+    // rollup.
+    const double fraction = outcome.served_measure_s / request.measure_s;
+    const double weight = fraction * (outcome.pods / machines);
+    summary.emu += weight * outcome.summary.emu;
+    summary.lc_throughput += weight * outcome.summary.lc_throughput;
+    summary.be_throughput += weight * outcome.summary.be_throughput;
+    summary.cpu_util += weight * outcome.summary.cpu_util;
+    summary.membw_util += weight * outcome.summary.membw_util;
+    summary.sla_violations += outcome.summary.sla_violations;
+    summary.be_kills += outcome.summary.be_kills;
+    summary.worst_tail_ratio =
+        std::max(summary.worst_tail_ratio, outcome.summary.worst_tail_ratio);
+    const double pod_ticks =
+        outcome.pods * outcome.served_measure_s / MachineAgent::kPeriodSeconds;
+    placed_pod_ticks += pod_ticks;
+    app_pod_ticks[it->second] += pod_ticks;
+
+    ++app.trials;
+    app_weight[it->second] += fraction;
+    app.emu += fraction * outcome.summary.emu;
+    app.lc_throughput += fraction * outcome.summary.lc_throughput;
+    app.sla_violations += outcome.summary.sla_violations;
+    app.worst_tail_ratio =
+        std::max(app.worst_tail_ratio, outcome.summary.worst_tail_ratio);
+  }
+
+  // Machine-normalized quantities are per-epoch averages.
+  const double epochs = static_cast<double>(request.epochs);
+  summary.emu /= epochs;
+  summary.lc_throughput /= epochs;
+  summary.be_throughput /= epochs;
+  summary.cpu_util /= epochs;
+  summary.membw_util /= epochs;
+
+  if (placed_pod_ticks > 0.0) {
+    summary.slo_violation_rate =
+        static_cast<double>(summary.sla_violations) / placed_pod_ticks;
+  }
+  for (size_t a = 0; a < summary.per_app.size(); ++a) {
+    AppClusterStats& app = summary.per_app[a];
+    if (app_weight[a] > 0.0) {
+      app.emu /= app_weight[a];
+      app.lc_throughput /= app_weight[a];
+    }
+    if (app_pod_ticks[a] > 0.0) {
+      app.slo_violation_rate =
+          static_cast<double>(app.sla_violations) / app_pod_ticks[a];
+    }
+  }
+
+  // Failover places exactly one replacement or loses the group, per victim.
+  summary.groups_lost = summary.groups_disrupted - summary.groups_failed_over;
+  // Demanded measurement seconds lost to machine loss: per disrupted
+  // group-epoch, the measure window minus every incarnation's served share,
+  // floored at zero (replacement windows can overlap the demand).
+  for (size_t begin = 0, end = 0; begin < outcomes.size(); begin = end) {
+    double served = 0.0;
+    bool disrupted = false;
+    for (end = begin; end < outcomes.size() &&
+                      outcomes[end].epoch == outcomes[begin].epoch &&
+                      outcomes[end].group == outcomes[begin].group;
+         ++end) {
+      served += outcomes[end].served_measure_s;
+      disrupted = disrupted || outcomes[end].disrupted;
+    }
+    if (disrupted) {
+      summary.down_group_seconds += std::max(0.0, request.measure_s - served);
+    }
+  }
+
+  summary.groups = std::move(outcomes);
+  return summary;
 }
 
 }  // namespace rhythm

@@ -1,8 +1,8 @@
 // Cluster-level execution: ClusterRunRequest describes one policy evaluated
 // against one ClusterSpec (the same declarative value-type idiom as
-// RunRequest), RunCluster/RunClusterPlan execute it, and ClusterSummary is
-// the Fig. 12/15-style rollup — cluster EMU, per-app SLO violation rates,
-// placement churn.
+// RunRequest), RunCluster executes it, and RollupCluster turns the run's
+// group outcomes into ClusterSummary, the Fig. 12/15-style rollup — cluster
+// EMU, per-app SLO violation rates, placement churn.
 //
 // Execution model: placement is computed serially (a pure function of
 // spec x policy x seed x epoch), then each epoch's placed groups run
@@ -80,18 +80,6 @@ struct ClusterRunRequest {
   // running groups. Must be read-only; see src/control/cluster_tick.h.
   ClusterTickHook on_tick;
   std::string label;
-};
-
-struct ClusterRunPlan {
-  std::vector<ClusterRunRequest> requests;
-
-  ClusterRunRequest& Add(ClusterRunRequest request) {
-    requests.push_back(std::move(request));
-    return requests.back();
-  }
-
-  size_t size() const { return requests.size(); }
-  bool empty() const { return requests.empty(); }
 };
 
 // What happened to one incarnation of one group in one epoch. Unplaced
@@ -218,18 +206,27 @@ uint64_t DeriveShardSeed(uint64_t base_seed, uint64_t slot);
 uint64_t DeriveFailoverSeed(uint64_t base_seed, int epoch, int groups_per_epoch,
                             int group, int incarnation);
 
-// Executes one cluster request / a batch of them. Plan results come back in
-// plan order; every request runs on one shared shard pool sized by
+// Executes one cluster request on its own shard pool sized by
 // RunnerOptions::shards (<= 0: RHYTHM_SHARDS, then the jobs resolution) —
-// bit-identical at any shard count. Malformed requests (unknown policy,
-// empty demand, non-positive windows or epochs, policy decisions that skip
-// a group or overdraw the BE quota) throw std::invalid_argument; trial
-// errors propagate lowest slot first, matching the flat runner's
-// first-error contract.
+// bit-identical at any shard count — and writes the placement recording to
+// the export paths request.obs names (std::runtime_error when one cannot be
+// written). Malformed requests (unknown policy, empty demand, non-positive
+// windows or epochs, policy decisions that skip a group or overdraw the BE
+// quota) throw std::invalid_argument; trial errors propagate lowest slot
+// first, matching the flat runner's first-error contract.
 ClusterSummary RunCluster(const ClusterRunRequest& request,
                           const RunnerOptions& options = {});
-std::vector<ClusterSummary> RunClusterPlan(const ClusterRunPlan& plan,
-                                           const RunnerOptions& options = {});
+
+// The part of ClusterSummary that is a function of the group outcomes alone:
+// placed/unplaced/solo counts, the machine-normalized rates, per_app,
+// machines_used, placement churn and the failover tallies (groups_disrupted,
+// groups_failed_over, groups_lost, pods_migrated, down_group_seconds).
+// Sorts `outcomes` by (epoch, group, incarnation) into ClusterSummary::groups.
+// The fields only the engine observes (machines failed/restarted/down,
+// failover latency, degraded barriers, cluster invariants, the recording)
+// stay default.
+ClusterSummary RollupCluster(const ClusterRunRequest& request,
+                             std::vector<GroupOutcome> outcomes);
 
 }  // namespace rhythm
 

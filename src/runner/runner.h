@@ -54,7 +54,7 @@ RunSummary Run(const RunRequest& request, const TrialHooks& hooks);
 struct RunnerOptions {
   // Worker threads; <= 0 means RHYTHM_JOBS, else hardware_concurrency.
   int jobs = 0;
-  // Machine shards for the partitioned cluster engine (RunClusterPlan):
+  // Machine shards for the partitioned cluster engine (RunCluster):
   // <= 0 means RHYTHM_SHARDS, then the jobs resolution above. Shard count
   // is a performance knob only — cluster results are bit-identical at any
   // value. Ignored by ParallelRunner::RunAll, which shards across trials.

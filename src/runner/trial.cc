@@ -195,21 +195,7 @@ RunSummary Trial::Finish() {
     }
     recorder_->set_meta(meta);
     const Recording recording = recorder_->TakeRecording();
-    if (!request_.obs.export_jsonl.empty() &&
-        !WriteJsonl(recording, request_.obs.export_jsonl)) {
-      throw std::runtime_error("Run: cannot write recording to " +
-                               request_.obs.export_jsonl);
-    }
-    if (!request_.obs.export_perfetto.empty() &&
-        !WritePerfettoTrace(recording, request_.obs.export_perfetto)) {
-      throw std::runtime_error("Run: cannot write trace to " +
-                               request_.obs.export_perfetto);
-    }
-    if (!request_.obs.export_metrics_csv.empty() &&
-        !WriteMetricsCsv(recording, request_.obs.export_metrics_csv)) {
-      throw std::runtime_error("Run: cannot write metrics to " +
-                               request_.obs.export_metrics_csv);
-    }
+    ExportRecording(recording, request_.obs);
     if (hooks_.on_recording) {
       hooks_.on_recording(recording);
     }

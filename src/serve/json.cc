@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace rhythm {
 
@@ -26,9 +27,18 @@ double JsonValue::NumberOr(const std::string& key, double fallback) const {
 
 int64_t JsonValue::IntOr(const std::string& key, int64_t fallback) const {
   const JsonValue* value = Find(key);
-  return value != nullptr && value->is_number()
-             ? static_cast<int64_t>(value->number)
-             : fallback;
+  if (value == nullptr || !value->is_number()) {
+    return fallback;
+  }
+  // Parsed numbers are finite, but converting one outside int64_t's range
+  // [-2^63, 2^63) is undefined behaviour.
+  if (value->number >= 0x1p63) {
+    return std::numeric_limits<int64_t>::max();
+  }
+  if (value->number < -0x1p63) {
+    return std::numeric_limits<int64_t>::min();
+  }
+  return static_cast<int64_t>(value->number);
 }
 
 bool JsonValue::BoolOr(const std::string& key, bool fallback) const {

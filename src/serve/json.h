@@ -40,6 +40,7 @@ struct JsonValue {
   // uses for optional fields. A present member of the wrong type is NOT
   // forgiven; callers that care use Find() + RequireX below.
   double NumberOr(const std::string& key, double fallback) const;
+  // Truncates toward zero, saturating numbers outside int64_t's range.
   int64_t IntOr(const std::string& key, int64_t fallback) const;
   bool BoolOr(const std::string& key, bool fallback) const;
   std::string StringOr(const std::string& key, const std::string& fallback) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -32,9 +33,24 @@ std::string Normalize(const std::string& name) {
 // allocate per-machine state up front, so an unbounded count from a client
 // would size those allocations.
 constexpr int64_t kMaxMachines = 1000000;
+// Most LC groups a query may demand, per lc_demand entry and summed over
+// all of them: group expansion allocates one entry per group.
+constexpr int64_t kMaxGroups = 1000000;
 
 [[noreturn]] void Reject(const std::string& what) {
   throw std::invalid_argument("whatif: " + what);
+}
+
+// An integer field narrowed to int, checked in int64_t first (IntOr
+// saturates, so every magnitude reaches the check).
+int IntField(const JsonValue& object, const std::string& key, int fallback,
+             const char* context) {
+  const int64_t value = object.IntOr(key, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    Reject(std::string(context) + ": \"" + key + "\" is out of range");
+  }
+  return static_cast<int>(value);
 }
 
 // Typos in a what-if body should come back as 422s naming the key, not be
@@ -80,7 +96,8 @@ std::shared_ptr<const FaultSchedule> ParseFaults(const JsonValue& array,
       Reject("fault: unknown kind \"" + kind_name + "\"");
     }
     // "machine" is the cluster-scope spelling of the same field.
-    event.pod = static_cast<int>(entry.IntOr("pod", entry.IntOr("machine", 0)));
+    event.pod = IntField(entry, "pod", IntField(entry, "machine", 0, "fault"),
+                         "fault");
     event.start_s = entry.NumberOr("start_s", 0.0);
     event.duration_s = entry.NumberOr("duration_s", 0.0);
     event.magnitude = entry.NumberOr("magnitude", 0.0);
@@ -206,6 +223,7 @@ ClusterSpec ParseClusterSpec(const JsonValue& body) {
   }
   ClusterSpec spec;
   spec.machines = machines;
+  int64_t total_groups = 0;
   for (const JsonValue& entry : demand->array) {
     if (!entry.is_object()) {
       Reject("lc_demand entries must be objects");
@@ -216,7 +234,17 @@ ClusterSpec ParseClusterSpec(const JsonValue& body) {
     if (!ParseLcAppKindName(app, &group.app)) {
       Reject("lc_demand: unknown app \"" + app + "\"");
     }
-    group.count = static_cast<int>(entry.IntOr("count", 1));
+    const int64_t count = entry.IntOr("count", 1);
+    if (count < 0 || count > kMaxGroups) {
+      Reject("lc_demand: \"count\" must be in [0, " +
+             std::to_string(kMaxGroups) + "]");
+    }
+    total_groups += count;
+    if (total_groups > kMaxGroups) {
+      Reject("lc_demand: counts sum to more than " +
+             std::to_string(kMaxGroups) + " groups");
+    }
+    group.count = static_cast<int>(count);
     group.load = entry.NumberOr("load", group.load);
     spec.lc_demand.push_back(group);
   }
@@ -260,7 +288,7 @@ ClusterRunRequest ParseCluster(const JsonValue& body) {
   request.seed = static_cast<uint64_t>(body.IntOr("seed", 11));
   request.warmup_s = body.NumberOr("warmup_s", request.warmup_s);
   request.measure_s = body.NumberOr("measure_s", request.measure_s);
-  request.epochs = static_cast<int>(body.IntOr("epochs", request.epochs));
+  request.epochs = IntField(body, "epochs", request.epochs, "cluster");
   request.label = body.StringOr("label", "");
   if (const JsonValue* scales = body.Find("epoch_load_scale")) {
     if (!scales->is_array()) {
@@ -292,7 +320,8 @@ ClusterRunRequest ParseCluster(const JsonValue& body) {
         if (!budget->is_number()) {
           Reject("supervisor: \"migration_budget\" must be a number");
         }
-        request.supervisor.migration_budget = static_cast<int>(budget->number);
+        request.supervisor.migration_budget =
+            IntField(*supervisor, "migration_budget", 0, "supervisor");
       }
       request.supervisor.readmission_backoff_s = supervisor->NumberOr(
           "readmission_backoff_s", request.supervisor.readmission_backoff_s);
@@ -523,7 +552,7 @@ std::string PlacementsResponseJson(const JsonValue& body) {
   const ClusterSpec spec = ParseClusterSpec(body);
   const uint64_t seed = static_cast<uint64_t>(body.IntOr("seed", 11));
   const double load_scale = body.NumberOr("load_scale", 1.0);
-  const int epoch = static_cast<int>(body.IntOr("epoch", 0));
+  const int epoch = IntField(body, "epoch", 0, "placements");
 
   std::vector<std::string> policies = PlacementPolicyNames();
   if (const JsonValue* names = body.Find("policies")) {

@@ -1,5 +1,7 @@
 #include "src/obs/exporters.h"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -147,6 +149,39 @@ TEST(Exporters, FromJsonlSkipsUnknownTypesAndThrowsOnGarbage) {
 
   EXPECT_THROW(FromJsonl("{\"type\":\"event\",\"t\":oops}\n"), std::runtime_error);
   EXPECT_THROW(FromJsonl("not json at all\n"), std::runtime_error);
+}
+
+TEST(Exporters, JsonlIntegerFieldsRoundTripExactly) {
+  // Integers above 2^53 have no exact double; they must not pass through one.
+  Recording original = MakeRecording();
+  for (uint64_t value : {(uint64_t{1} << 53) + 1,
+                         std::numeric_limits<uint64_t>::max()}) {
+    original.meta.seed = value;
+    original.events_total = value;
+    original.metrics.back().observations = value;
+    const Recording copy = FromJsonl(ToJsonl(original));
+    EXPECT_EQ(copy.meta.seed, value);
+    EXPECT_EQ(copy.events_total, value);
+    EXPECT_EQ(copy.metrics.back().observations, value);
+  }
+}
+
+TEST(Exporters, FromJsonlRejectsOutOfRangeIntegers) {
+  const std::string meta = "{\"type\":\"meta\",\"app\":\"x\"}\n";
+  auto event = [&meta](const std::string& machine, const std::string& code) {
+    return meta + "{\"type\":\"event\",\"t\":1,\"machine\":" + machine +
+           ",\"k\":0,\"code\":" + code +
+           ",\"detail\":0,\"a\":0,\"b\":0,\"c\":0,\"d\":0}\n";
+  };
+  EXPECT_EQ(FromJsonl(event("-1", "255")).events.front().machine, -1);
+  EXPECT_THROW(FromJsonl(event("2147483648", "0")), std::runtime_error);
+  EXPECT_THROW(FromJsonl(event("1e30", "0")), std::runtime_error);
+  EXPECT_THROW(FromJsonl(event("0", "256")), std::runtime_error);
+  EXPECT_THROW(FromJsonl("{\"type\":\"meta\",\"seed\":1e30}\n"),
+               std::runtime_error);
+  EXPECT_THROW(
+      FromJsonl("{\"type\":\"meta\",\"seed\":18446744073709551616}\n"),
+      std::runtime_error);
 }
 
 TEST(Exporters, PerfettoTraceLooksLikeChromeJson) {

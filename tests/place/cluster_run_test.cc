@@ -92,25 +92,20 @@ TEST(DeriveGroupSeedTest, MatchesFlattenedTrialSeeds) {
 }
 
 TEST(ClusterRunTest, WorkerCountDoesNotChangeResults) {
-  // A mixed-policy plan run serially and with 8 workers must be
+  // Mixed-policy requests run serially and with 8 workers must be
   // bit-identical — the tentpole's core determinism guarantee.
-  ClusterRunPlan plan;
-  plan.Add(SmallRequest(kPolicyRhythmAware));
-  plan.Add(SmallRequest(kPolicyBinPacking));
-  plan.Add(SmallRequest(kPolicyRandom, 17));
-  plan.Add(SmallRequest(kPolicyGreedy));
+  const std::vector<ClusterRunRequest> requests = {
+      SmallRequest(kPolicyRhythmAware), SmallRequest(kPolicyBinPacking),
+      SmallRequest(kPolicyRandom, 17), SmallRequest(kPolicyGreedy)};
 
   RunnerOptions serial;
   serial.jobs = 1;
   RunnerOptions wide;
   wide.jobs = 8;
-  const std::vector<ClusterSummary> a = RunClusterPlan(plan, serial);
-  const std::vector<ClusterSummary> b = RunClusterPlan(plan, wide);
-  ASSERT_EQ(a.size(), plan.size());
-  ASSERT_EQ(b.size(), plan.size());
-  for (size_t i = 0; i < plan.size(); ++i) {
+  for (size_t i = 0; i < requests.size(); ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
-    ExpectBitIdentical(a[i], b[i]);
+    ExpectBitIdentical(RunCluster(requests[i], serial),
+                       RunCluster(requests[i], wide));
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "src/common/json.h"
@@ -56,6 +58,17 @@ TEST(JsonParseTest, TypedAccessorsIgnoreWrongTypes) {
   EXPECT_EQ(doc.StringOr("s", "fallback"), "fallback");
   EXPECT_TRUE(doc.BoolOr("b", true));
   EXPECT_EQ(doc.IntOr("s", 0), 7);
+}
+
+TEST(JsonParseTest, IntOrSaturatesOutsideInt64) {
+  const JsonValue doc = MustParse(
+      "{\"big\": 1e300, \"small\": -1e300, \"edge\": -9223372036854775808, "
+      "\"past\": 9223372036854775808, \"frac\": -2.9}");
+  EXPECT_EQ(doc.IntOr("big", 0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(doc.IntOr("small", 0), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(doc.IntOr("edge", 0), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(doc.IntOr("past", 0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(doc.IntOr("frac", 0), -2);
 }
 
 TEST(JsonParseTest, StringEscapes) {

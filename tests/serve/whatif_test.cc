@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +151,57 @@ TEST(ParseWhatIfTest, RejectsBadBodies) {
                  std::invalid_argument)
         << machines;
   }
+}
+
+// The std::invalid_argument message ParseWhatIfQuery rejects `body` with.
+std::string RejectionOf(const std::string& body) {
+  try {
+    ParseWhatIfQuery(MustParse(body));
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "accepted: " << body;
+  return "";
+}
+
+TEST(ParseWhatIfTest, BoundsLcDemandCounts) {
+  const std::string prefix = "{\"kind\":\"cluster\",\"lc_demand\":[";
+  for (const char* entries :
+       {"{\"app\":\"Redis\",\"count\":1000000000}",
+        "{\"app\":\"Redis\",\"count\":-1}",
+        "{\"app\":\"Redis\",\"count\":600000},"
+        "{\"app\":\"Solr\",\"count\":600000}"}) {
+    EXPECT_NE(RejectionOf(prefix + entries + "]}").find("lc_demand"),
+              std::string::npos)
+        << entries;
+  }
+  const WhatIfQuery largest = ParseWhatIfQuery(
+      MustParse(prefix + "{\"app\":\"Redis\",\"count\":1000000}]}"));
+  EXPECT_EQ(largest.cluster.spec.TotalGroups(), 1000000);
+}
+
+TEST(ParseWhatIfTest, OutOfRangeIntegersAreRejectedNotConverted) {
+  EXPECT_NE(RejectionOf("{\"kind\":\"cluster\",\"machines\":1e300}")
+                .find("machines"),
+            std::string::npos);
+  EXPECT_NE(RejectionOf("{\"kind\":\"cluster\","
+                        "\"supervisor\":{\"migration_budget\":1e300}}")
+                .find("migration_budget"),
+            std::string::npos);
+  EXPECT_NE(RejectionOf("{\"kind\":\"cluster\",\"epochs\":4294967297}")
+                .find("epochs"),
+            std::string::npos);
+  EXPECT_NE(RejectionOf("{\"faults\":[{\"kind\":\"PodCrash\","
+                        "\"pod\":-3e9}]}")
+                .find("pod"),
+            std::string::npos);
+  // A seed past int64_t saturates instead of converting undefinedly.
+  const WhatIfQuery trial =
+      ParseWhatIfQuery(MustParse("{\"app\":\"Redis\",\"seed\":1e30}"));
+  EXPECT_EQ(trial.trial.seed,
+            static_cast<uint64_t>(std::numeric_limits<int64_t>::max()));
+  EXPECT_THROW(PlacementsResponseJson(MustParse("{\"epoch\":1e12}")),
+               std::invalid_argument);
 }
 
 TEST(ParseWhatIfTest, LoadProfilesConstruct) {
@@ -351,6 +405,27 @@ TEST(DaemonEndpointTest, SchemaErrorsMapToCleanStatuses) {
   EXPECT_NE(
       metrics.body.find("rhythmd_request_latency_ms{endpoint=\"whatif\""),
       std::string::npos);
+  daemon.Stop();
+}
+
+TEST(DaemonEndpointTest, OversizedDemandIs422AndTheDaemonStaysUp) {
+  DaemonOptions options;
+  options.server.port = 0;
+  RhythmDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+  const int port = daemon.port();
+
+  const std::string huge =
+      "{\"lc_demand\":[{\"app\":\"Redis\",\"count\":1000000000}]}";
+  const TestResponse placements = Fetch(port, "POST", "/v1/placements", huge);
+  EXPECT_EQ(placements.status, 422);
+  EXPECT_NE(placements.body.find("lc_demand"), std::string::npos);
+  EXPECT_EQ(Fetch(port, "POST", "/v1/whatif",
+                  "{\"kind\":\"cluster\"," + huge.substr(1))
+                .status,
+            422);
+  EXPECT_EQ(Fetch(port, "GET", "/healthz").status, 200);
   daemon.Stop();
 }
 

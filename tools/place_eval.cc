@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
                 fail_count, fail_at_s, supervisor_on ? "on" : "off");
   }
 
-  ClusterRunPlan plan;
+  std::vector<ClusterRunRequest> requests;
   for (const std::string& policy : policies) {
     ClusterRunRequest request;
     request.spec = spec;
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
       request.obs.export_jsonl =
           PolicyPath(obs_out, policy, policies.size() > 1);
     }
-    plan.Add(std::move(request));
+    requests.push_back(std::move(request));
   }
 
   std::vector<ClusterSummary> summaries;
@@ -229,7 +229,9 @@ int main(int argc, char** argv) {
     RunnerOptions options;
     options.jobs = jobs;
     options.shards = shards;
-    summaries = RunClusterPlan(plan, options);
+    for (const ClusterRunRequest& request : requests) {
+      summaries.push_back(RunCluster(request, options));
+    }
   } catch (const std::exception& error) {
     std::fprintf(stderr, "place_eval: %s\n", error.what());
     return 2;

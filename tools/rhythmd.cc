@@ -4,8 +4,8 @@
 //
 //   rhythmd --port 8080 --threads 4 &
 //   curl -s http://127.0.0.1:8080/healthz
-//   curl -s http://127.0.0.1:8080/v1/whatif \
-//        -d '{"app":"E-commerce","be":"wordcount","seed":7}'
+//   body='{"app":"E-commerce","be":"wordcount","seed":7}'
+//   curl -s http://127.0.0.1:8080/v1/whatif -d "$body"
 //   kill -TERM %1    # graceful drain: in-flight queries finish, exit 0
 //
 // `--oneshot FILE` evaluates one what-if body from FILE (or stdin with "-")
