@@ -105,6 +105,7 @@ Deployment::Deployment(const DeploymentConfig& config)
       }
     });
     fault_->set_admission_hold_handler([this](int pod, bool held) {
+      service_->InflationChanged();
       BeRuntime* be = this->be(pod);
       if (be == nullptr) {
         return;
@@ -124,6 +125,7 @@ Deployment::Deployment(const DeploymentConfig& config)
       }
     });
     fault_->set_be_failure_handler([this](int pod) {
+      service_->InflationChanged();
       BeRuntime* be = this->be(pod);
       if (be != nullptr && be->FailOneInstance()) {
         ++be_instance_failures_;
@@ -143,7 +145,9 @@ Deployment::Deployment(const DeploymentConfig& config)
 
   // Interference wiring: the LC's inflation at pod i comes from machine i's
   // state and its BE runtime; a crash failover multiplies in the cold-standby
-  // and survivor-absorption penalties.
+  // and survivor-absorption penalties. The service keeps each pod's value
+  // for its request walk, so every path below that changes any of this
+  // state calls InflationChanged() (the list is in lc_service.h).
   service_->SetInflationProvider([this](int pod) {
     const BeRuntime* be = be_runtimes_.empty() ? nullptr : be_runtimes_[pod].get();
     double inflation =
@@ -183,6 +187,7 @@ double Deployment::SampledTailMs() {
 }
 
 void Deployment::AccountingTick() {
+  service_->InflationChanged();  // LC activity, BE steps and dispatch below.
   const double now = sim_.Now();
   if (scheduler_ != nullptr) {
     // BE job arrivals into the cluster queue.
@@ -274,6 +279,7 @@ void Deployment::AccountingTick() {
 }
 
 void Deployment::ControllerTick() {
+  service_->InflationChanged();  // agent actuations and dispatch below.
   const double now = sim_.Now();
   const double load = service_->CurrentLoad();
   const double tail = SampledTailMs();
@@ -313,6 +319,7 @@ void Deployment::ControllerTick() {
 }
 
 void Deployment::LaunchBeAtPod(int pod, int instances) {
+  service_->InflationChanged();
   BeRuntime* be = this->be(pod);
   RHYTHM_CHECK(be != nullptr);
   for (int i = 0; i < instances; ++i) {
@@ -406,6 +413,7 @@ uint64_t Deployment::TotalOscillationTrips() const {
 }
 
 void Deployment::OnPodCrash(int pod) {
+  service_->InflationChanged();  // BE losses and every pod's FailoverInflation.
   ++crash_count_;
   if (!awaiting_recovery_) {
     awaiting_recovery_ = true;
@@ -430,6 +438,7 @@ void Deployment::OnPodCrash(int pod) {
 }
 
 void Deployment::OnPodReboot(int pod) {
+  service_->InflationChanged();  // admission and every pod's FailoverInflation.
   BeRuntime* be = this->be(pod);
   if (be != nullptr && (fault_ == nullptr || !fault_->AdmissionHeld(pod))) {
     be->set_admission_blocked(false);  // an active hold keeps admission shut.

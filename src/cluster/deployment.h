@@ -121,13 +121,24 @@ class Deployment {
   const AppSpec& app() const { return app_; }
   int pod_count() const { return app_.pod_count(); }
 
-  Machine& machine(int pod) { return *machines_[pod]; }
+  // The non-const accessors hand out what the LC's inflation reads, so each
+  // marks the service's kept inflation stale (LcService::InflationChanged).
+  Machine& machine(int pod) {
+    service_->InflationChanged();
+    return *machines_[pod];
+  }
   const Machine& machine(int pod) const { return *machines_[pod]; }
-  BeRuntime* be(int pod) { return be_runtimes_.empty() ? nullptr : be_runtimes_[pod].get(); }
+  BeRuntime* be(int pod) {
+    service_->InflationChanged();
+    return be_runtimes_.empty() ? nullptr : be_runtimes_[pod].get();
+  }
   const BeRuntime* be(int pod) const {
     return be_runtimes_.empty() ? nullptr : be_runtimes_[pod].get();
   }
-  MachineAgent* agent(int pod) { return agents_.empty() ? nullptr : agents_[pod].get(); }
+  MachineAgent* agent(int pod) {
+    service_->InflationChanged();
+    return agents_.empty() ? nullptr : agents_[pod].get();
+  }
   const MachineAgent* agent(int pod) const {
     return agents_.empty() ? nullptr : agents_[pod].get();
   }

@@ -34,9 +34,12 @@ int DefaultJobCount() {
   return hardware > 0 ? static_cast<int>(hardware) : 1;
 }
 
-int DefaultShardCount() {
+int DefaultShardCount(int jobs) {
   const int shards = EnvInt("RHYTHM_SHARDS", 0);
-  return shards > 0 ? shards : DefaultJobCount();
+  if (shards > 0) {
+    return shards;
+  }
+  return jobs > 0 ? jobs : DefaultJobCount();
 }
 
 }  // namespace rhythm

@@ -6,8 +6,9 @@
 //                    unset or 0 means hardware_concurrency.
 //   RHYTHM_SHARDS=N  machine shards for the partitioned cluster engine
 //                    (intra-trial parallelism); unset or 0 falls back to
-//                    RHYTHM_JOBS, then hardware_concurrency. Results are
-//                    bit-identical at any value.
+//                    the caller's job count, then RHYTHM_JOBS, then
+//                    hardware_concurrency. Results are bit-identical at
+//                    any value.
 //
 // RHYTHM_THRESHOLD_CACHE (a directory for the one-time characterization
 // cache) is consumed by src/cluster/app_thresholds directly.
@@ -32,10 +33,11 @@ bool FastMode();
 // (floored at 1 when the hardware cannot be queried).
 int DefaultJobCount();
 
-// Shard count for the partitioned cluster engine: RHYTHM_SHARDS when set to
-// a positive value, otherwise DefaultJobCount(). Shard count never changes
-// results, only how machines are spread over worker threads.
-int DefaultShardCount();
+// Shard count for the partitioned cluster engine when the caller names none:
+// RHYTHM_SHARDS when set to a positive value, otherwise `jobs` when
+// positive, otherwise DefaultJobCount(). Shard count never changes results,
+// only how machines are spread over worker threads.
+int DefaultShardCount(int jobs);
 
 }  // namespace rhythm
 

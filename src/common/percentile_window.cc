@@ -34,20 +34,41 @@ double PercentileWindow::Quantile(double now, double q) {
   const double rank = clamped * static_cast<double>(n - 1);
   const size_t lo = static_cast<size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
+  // The answer reads ranks lo and lo + 1 only, so the n - lo largest samples
+  // decide it. Select among the samples at or above the floor; when fewer
+  // than that many are (the latency level dropped), among all of them.
+  const size_t need = n - lo;
   scratch_.clear();
   for (const Sample& sample : samples_) {
-    scratch_.push_back(sample.latency);
+    if (sample.latency >= floor_) {
+      scratch_.push_back(sample.latency);
+    }
   }
-  const auto lo_it = scratch_.begin() + static_cast<ptrdiff_t>(lo);
-  std::nth_element(scratch_.begin(), lo_it, scratch_.end());
-  const double vlo = *lo_it;
+  if (scratch_.size() < need) {
+    scratch_.clear();
+    for (const Sample& sample : samples_) {
+      scratch_.push_back(sample.latency);
+    }
+  }
+  // Every excluded sample is below every kept one: rank lo of the window is
+  // rank k of the kept samples.
+  const size_t k = lo - (n - scratch_.size());
+  const auto k_it = scratch_.begin() + static_cast<ptrdiff_t>(k);
+  std::nth_element(scratch_.begin(), k_it, scratch_.end());
+  const double vlo = *k_it;
   double value = vlo;
   if (frac != 0.0 && lo + 1 < n) {
-    // nth_element leaves everything above `lo` no smaller than it, so the
+    // nth_element leaves everything above `k` no smaller than it, so the
     // next order statistic is that part's minimum.
-    const double vhi = *std::min_element(lo_it + 1, scratch_.end());
+    const double vhi = *std::min_element(k_it + 1, scratch_.end());
     value = vlo + frac * (vhi - vlo);
   }
+  // The next query's floor: the kept sample `need` ranks below this answer
+  // (the lowest kept one when fewer are below it), so the next query keeps
+  // about twice what this one needed.
+  const auto floor_it = k_it - static_cast<ptrdiff_t>(std::min(k, need));
+  std::nth_element(scratch_.begin(), floor_it, k_it);
+  floor_ = *floor_it;
   memo_valid_ = true;
   memo_now_ = now;
   memo_q_ = q;

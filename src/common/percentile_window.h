@@ -8,11 +8,18 @@
 // Implementation: one FIFO of (time, latency), used for expiration and
 // nothing else. Every finished request adds a sample while the controllers
 // read about once per thousand adds, so adds stay a push_back and a query
-// pays the selection: it copies the retained latencies into a scratch
+// pays the selection. A q-quantile over n samples reads only the n - lo
+// largest (lo = floor(q * (n - 1))), so a query copies just the latencies
+// at or above a floor carried over from the previous query into a scratch
 // vector (reused across queries) and selects the needed order statistics
-// with nth_element. A per-(timestamp, q) memo makes the accounting tick,
-// controller tick and reboot handler reads at the same simulated instant pay
-// for one selection only. The interpolation is PercentileInplace's
+// there with nth_element. The floor is set `need` ranks below the previous
+// answer, so a p99 query over ~6,000 samples copies a few hundred; when
+// fewer samples than the query needs reach the floor (the latency level
+// dropped), it copies all of them. Leaving out only samples below every
+// kept one cannot move an order statistic, so both paths give the same
+// doubles. A per-(timestamp, q) memo makes the accounting tick, controller
+// tick and reboot handler reads at the same simulated instant pay for one
+// selection only. The interpolation is PercentileInplace's
 // (src/common/stats.cc) on the same order statistics, so answers are the
 // same doubles as the sort-based math.
 
@@ -22,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 namespace rhythm {
@@ -60,6 +68,9 @@ class PercentileWindow {
   double window_;
   std::deque<Sample> samples_;  // FIFO, in insertion order (for expiration).
   std::vector<double> scratch_;  // selection buffer, reused across queries.
+  // Samples below the floor are left out of the next selection unless too
+  // few samples reach it; see Quantile.
+  double floor_ = -std::numeric_limits<double>::infinity();
 
   // Memo of the last computed quantile: valid until samples change.
   bool memo_valid_ = false;

@@ -822,7 +822,7 @@ ClusterSummary RunCluster(const ClusterRunRequest& request,
   // Each epoch runs its placed groups concurrently between conservative-window
   // barriers. Shard count is a performance knob only — summaries are
   // bit-identical at any value.
-  ShardPool pool(options.shards > 0 ? options.shards : DefaultShardCount());
+  ShardPool pool(options.shards > 0 ? options.shards : DefaultShardCount(options.jobs));
   ShardedEngine engine(&pool);
   RequestExecution execution(request);
   execution.Run(engine);

@@ -24,6 +24,7 @@ LcService::LcService(Simulator* sim, AppSpec app, const Config& config)
     models_.emplace_back(spec);
   }
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  walk_inflation_.assign(app_.components.size(), nan);
   pod_math_.assign(app_.components.size(), PodMath{nan, nan, nan, {}});
   sojourn_scratch_.assign(app_.components.size(), 0.0);
   // The summation order matches the old per-arrival loop, so the Uniform
@@ -80,6 +81,11 @@ double LcService::PodLambda(int pod) const {
 
 double LcService::PodInflation(int pod) const {
   return inflation_ ? std::max(1.0, inflation_(pod)) : 1.0;
+}
+
+void LcService::InflationChanged() {
+  std::fill(walk_inflation_.begin(), walk_inflation_.end(),
+            std::numeric_limits<double>::quiet_NaN());
 }
 
 double LcService::PodUtilization(int pod) const {
@@ -183,7 +189,10 @@ double LcService::WalkNode(const CallNode& node, double start, double load,
   // a walk, so re-reading the profile per node (as the pre-overhaul code
   // did) returned the identical value.
   const double lambda = load * app_.maxload_qps * visits_[pod];
-  const double inflation = PodInflation(pod);
+  if (std::isnan(walk_inflation_[pod])) {
+    walk_inflation_[pod] = PodInflation(pod);
+  }
+  const double inflation = walk_inflation_[pod];
   PodMath& math = pod_math_[pod];
   if (math.load != load || math.inflation != inflation || math.lambda != lambda) {
     math.params = models_[pod].ComputeLocalParams(lambda, load, inflation);

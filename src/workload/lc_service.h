@@ -9,7 +9,11 @@
 //
 // Interference enters through an inflation provider: a callable returning
 // the current service-time dilation factor for each Servpod, wired to the
-// interference model by the cluster (identity during solo runs).
+// interference model by the cluster (identity during solo runs). The request
+// walk keeps each pod's factor until the provider's owner calls
+// InflationChanged(): the factor depends only on machine, BE and fault state,
+// which changes at ticks and a few events, while requests arrive thousands
+// of times per simulated second.
 
 #ifndef RHYTHM_SRC_WORKLOAD_LC_SERVICE_H_
 #define RHYTHM_SRC_WORKLOAD_LC_SERVICE_H_
@@ -64,7 +68,26 @@ class LcService {
   // Per-Servpod service-time inflation (>= 1); identity when unset.
   void SetInflationProvider(std::function<double(int pod)> provider) {
     inflation_ = std::move(provider);
+    InflationChanged();
   }
+
+  // Marks every pod's kept inflation stale; the next request to visit a pod
+  // asks the provider again. Call it whenever anything the provider reads
+  // may have changed. For Deployment's provider (machine state, the BE
+  // runtime, the fault injector's failover state) that is every path below,
+  // each a simulator event or a call made between runs:
+  //   * AccountingTick and ControllerTick: LC activity, BE steps and
+  //     publication, agent actuations (and their actuation-drop gates), BE
+  //     scheduler dispatch;
+  //   * OnPodCrash and OnPodReboot: crash BE losses and admission, and
+  //     FailoverInflation, which changes only on the crash edges that call
+  //     them;
+  //   * the admission-hold and BE-failure handlers;
+  //   * LaunchBeAtPod;
+  //   * the non-const machine(pod), be(pod) and agent(pod) accessors, through
+  //     which the bubble profiler, DVFS sweeps and TrialHooks::after_start
+  //     mutate between runs.
+  void InflationChanged();
 
   // Starts the arrival process; requests keep arriving until Stop().
   void Start();
@@ -94,7 +117,8 @@ class LcService {
   double PodMembwGbs(int pod) const;
   double PodNetGbps(int pod) const;
 
-  // Inflation factor currently applied to `pod` (exposed for tests).
+  // Inflation factor `pod` has right now, from the provider (never the kept
+  // value: the ticks read it while they are still changing the machine).
   double PodInflation(int pod) const;
 
   // Hiccup dilation currently active at `pod` (1.0 outside bursts).
@@ -135,6 +159,9 @@ class LcService {
   Rng rng_;
   const LoadProfile* profile_ = nullptr;
   std::function<double(int pod)> inflation_;
+  // Per-pod inflation the request walk uses; NaN until the walk next visits
+  // the pod after InflationChanged(). Only the walk fills it.
+  std::vector<double> walk_inflation_;
   std::vector<double> visits_;
   // One model per Servpod, built once — constructing a ComponentModel copies
   // the spec (including its name string), which the pre-overhaul WalkNode

@@ -135,5 +135,129 @@ TEST(PercentileWindowDifferentialTest, ScratchStaysCorrectWhenWindowEmptiesAndRe
   }
 }
 
+// -- Pre-filtered selection --------------------------------------------------
+// A query selects among the samples at or above a floor carried over from
+// the previous query, and falls back to the whole window when fewer samples
+// than it needs are that high. The cases below steer the data into each
+// branch; every answer must still equal the reference's bit for bit.
+
+void AddBoth(PercentileWindow& fast, NaiveWindow& slow, double now, double latency) {
+  fast.Add(now, latency);
+  slow.Add(now, latency);
+}
+
+void ExpectSameQuantile(PercentileWindow& fast, NaiveWindow& slow, double now, double q) {
+  const double want = slow.Quantile(now, q);
+  ASSERT_EQ(fast.Quantile(now, q), want) << "q=" << q << " now=" << now << " n=" << slow.size();
+}
+
+TEST(PercentileWindowDifferentialTest, SharpLatencyDropFallsBackToTheWholeWindow) {
+  // Level shifts by two orders of magnitude: once the high samples expire,
+  // every retained sample lies below the floor the high level left behind.
+  const double kWindow = 2.0;
+  PercentileWindow fast(kWindow);
+  NaiveWindow slow(kWindow);
+  Rng rng(5);
+  const double levels[] = {100.0, 1.0, 500.0, 0.1, 50.0, 0.5};
+  double now = 0.0;
+  for (const double level : levels) {
+    for (int step = 0; step < 600; ++step) {
+      now += 0.01;
+      for (int i = 0; i < 4; ++i) {
+        AddBoth(fast, slow, now, level * (1.0 + rng.Exponential(0.2)));
+      }
+      if (step % 25 == 0) {
+        ExpectSameQuantile(fast, slow, now, 0.99);
+        ExpectSameQuantile(fast, slow, now, 0.95);
+      }
+    }
+  }
+}
+
+TEST(PercentileWindowDifferentialTest, SamplesEqualToTheFloorAreKept) {
+  // Four distinct values, so the carried-over floor is a value that many
+  // retained samples share; a sample equal to the floor must stay eligible.
+  const double kWindow = 3.0;
+  PercentileWindow fast(kWindow);
+  NaiveWindow slow(kWindow);
+  Rng rng(17);
+  const double quantiles[] = {0.99, 0.9, 0.75, 0.99, 0.5};
+  double now = 0.0;
+  for (int step = 0; step < 20000; ++step) {
+    now += rng.Exponential(0.002);
+    AddBoth(fast, slow, now, static_cast<double>(rng.UniformInt(4)));
+    if (step % 97 == 0) {
+      ExpectSameQuantile(fast, slow, now, quantiles[(step / 97) % 5]);
+    }
+  }
+}
+
+TEST(PercentileWindowDifferentialTest, ExtremeAndMiddleQuantilesInBlocks) {
+  // Runs of queries at one q, then another: the floor a high q leaves is too
+  // high for q = 0 or 0.5, and the one q = 0 leaves keeps everything.
+  const double kWindow = 1.5;
+  PercentileWindow fast(kWindow);
+  NaiveWindow slow(kWindow);
+  Rng rng(23);
+  const double quantiles[] = {0.0, 0.5, 0.99, 1.0, 0.0, 1.0, 0.99, 0.5, 0.99};
+  double now = 0.0;
+  for (const double q : quantiles) {
+    for (int query = 0; query < 40; ++query) {
+      const int adds = static_cast<int>(rng.UniformInt(200));
+      for (int i = 0; i < adds; ++i) {
+        now += rng.Exponential(0.001);
+        AddBoth(fast, slow, now, rng.LognormalMean(20.0, 0.8));
+      }
+      ExpectSameQuantile(fast, slow, now, q);
+    }
+  }
+}
+
+TEST(PercentileWindowDifferentialTest, OneAndTwoSampleWindows) {
+  const double kWindow = 1.0;
+  PercentileWindow fast(kWindow);
+  NaiveWindow slow(kWindow);
+  Rng rng(31);
+  const double quantiles[] = {0.0, 0.5, 0.99, 1.0};
+  double now = 0.0;
+  for (int round = 0; round < 300; ++round) {
+    // One sample, then a second at the same instant: equal, above or below.
+    const double first = rng.Exponential(10.0);
+    AddBoth(fast, slow, now, first);
+    for (const double q : quantiles) {
+      ExpectSameQuantile(fast, slow, now, q);
+    }
+    const int shape = static_cast<int>(rng.UniformInt(3));
+    const double second = shape == 0 ? first : (shape == 1 ? first * 3.0 : first / 3.0);
+    AddBoth(fast, slow, now, second);
+    for (const double q : quantiles) {
+      ExpectSameQuantile(fast, slow, now, q);
+    }
+    now += 1.5;  // both expire before the next round.
+  }
+}
+
+TEST(PercentileWindowDifferentialTest, RefillsFarAboveAndBelowTheOldFloor) {
+  // The window empties between bursts and refills at a level far from the
+  // last one, with adds and queries interleaved at one instant.
+  const double kWindow = 1.0;
+  PercentileWindow fast(kWindow);
+  NaiveWindow slow(kWindow);
+  Rng rng(41);
+  double now = 0.0;
+  for (int burst = 0; burst < 120; ++burst) {
+    const double level = burst % 2 == 0 ? 1000.0 : 0.01;
+    for (int part = 0; part < 4; ++part) {
+      const int count = 1 + static_cast<int>(rng.UniformInt(300));
+      for (int i = 0; i < count; ++i) {
+        AddBoth(fast, slow, now, level * rng.Exponential(1.0));
+      }
+      ExpectSameQuantile(fast, slow, now, 0.99);
+    }
+    EXPECT_EQ(fast.Quantile(now + 2.0, 0.99), 0.0);  // emptied.
+    now += 2.5;
+  }
+}
+
 }  // namespace
 }  // namespace rhythm

@@ -14,16 +14,22 @@
 // the CI obs smoke step drives exactly that path.
 //
 // Usage: diag_chaos [load] [inflation] [down_s]
+//
+// An error (e.g. an unwritable RHYTHM_OBS_DIR) prints `diag_chaos: <what>`
+// to stderr and exits 2.
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "src/rhythm.h"
 
 using namespace rhythm;
 
-int main(int argc, char** argv) {
+namespace {
+
+int ChaosMain(int argc, char** argv) {
   const double load = argc > 1 ? std::atof(argv[1]) : 0.6;
   double inflation = argc > 2 ? std::atof(argv[2]) : 0.5;
   double down_s = argc > 3 ? std::atof(argv[3]) : 60.0;
@@ -148,4 +154,15 @@ int main(int argc, char** argv) {
     Run(request, hooks);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return ChaosMain(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "diag_chaos: %s\n", error.what());
+    return 2;
+  }
 }

@@ -19,7 +19,7 @@
 //   --threads N        worker threads (default 4)
 //   --queue-depth N    admission limit: queued connections before 503 (64)
 //   --jobs N           trial worker threads inside a query (RHYTHM_JOBS)
-//   --shards N         cluster engine shards (RHYTHM_SHARDS)
+//   --shards N         cluster engine shards (RHYTHM_SHARDS, then --jobs)
 //   --snapshot PATH    default path for /v1/snapshot + /v1/restore
 //   --restore PATH     restore a snapshot before serving (warm start)
 //   --audit-dir DIR    write per-query obs recordings (whatif-<seq>.jsonl)
