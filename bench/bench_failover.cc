@@ -64,7 +64,7 @@ SideResult RunSide(ClusterRunRequest request, bool supervisor_on) {
   return result;
 }
 
-void WriteSide(JsonWriter& json, const char* key, const SideResult& side) {
+void WriteSide(BenchJson& json, const char* key, const SideResult& side) {
   const ClusterSummary& s = side.summary;
   json.BeginObject(key)
       .Field("emu", s.emu)
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   base.measure_s = measure_s;
   base.epochs = epochs;
 
-  JsonWriter json;
+  BenchJson json;
   json.Field("bench", "failover");
   json.Field("fast_mode", static_cast<uint64_t>(FastMode() ? 1 : 0));
   json.Field("host_cores",

@@ -90,7 +90,7 @@ TrialResult RunRepresentativeTrial(double measure_s) {
   return result;
 }
 
-void BenchEndToEnd(JsonWriter& json) {
+void BenchEndToEnd(BenchJson& json) {
   const double measure_s = FastMode() ? 20.0 : 60.0;
   const int reps = 3;
   TrialResult best;
@@ -118,7 +118,7 @@ void BenchEndToEnd(JsonWriter& json) {
               static_cast<double>(best.requests) / best.wall_s / 1e3);
 }
 
-void BenchEventEngine(JsonWriter& json) {
+void BenchEventEngine(BenchJson& json) {
   Simulator sim;
   uint64_t sink = 0;
   constexpr int kEvents = 2000000;
@@ -160,7 +160,7 @@ void BenchEventEngine(JsonWriter& json) {
   }
 }
 
-void BenchTailWindow(JsonWriter& json) {
+void BenchTailWindow(BenchJson& json) {
   // Realistic control-plane mix: a 6 s window at ~1.2k adds per simulated
   // second, with the accounting tick, controller tick and telemetry reads
   // querying the 99th percentile several times per simulated second.
@@ -201,13 +201,13 @@ void BenchTailWindow(JsonWriter& json) {
 
 int Main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
-  JsonWriter json;
+  BenchJson json;
   json.Field("bench", "hotpath");
   json.Field("fast_mode", static_cast<uint64_t>(FastMode() ? 1 : 0));
   json.BeginObject("machine")
       .Field("cpu", CpuModel())
       .Field("hardware_threads", static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Field("build", "Release -O2")
+      .Field("build", BENCH_BUILD_TYPE)
       .EndObject();
 
   BenchEndToEnd(json);

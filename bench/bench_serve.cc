@@ -109,7 +109,7 @@ SweepResult RunSweep(int port, int clients, int per_client,
   return result;
 }
 
-void WriteSweep(JsonWriter& json, const std::string& key, int clients,
+void WriteSweep(BenchJson& json, const std::string& key, int clients,
                 const SweepResult& sweep) {
   json.BeginObject(key)
       .Field("clients", clients)
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   const uint64_t served = daemon.server().requests_served();
   daemon.Stop();
 
-  JsonWriter json;
+  BenchJson json;
   json.Field("bench", "serve")
       .Field("fast_mode", fast ? 1 : 0)
       .Field("host_cores",

@@ -101,43 +101,43 @@ inline std::vector<RunSummary> RunMany(const RunPlan& plan) {
 // Minimal ordered-JSON emitter for benchmark artifacts (BENCH_*.json): an
 // object tree built with Begin/End calls, numbers printed with %.17g so
 // doubles round-trip. No external dependency, deliberately write-only.
-class JsonWriter {
+class BenchJson {
  public:
-  JsonWriter() { out_ += "{"; }
+  BenchJson() { out_ += "{"; }
 
-  JsonWriter& BeginObject(const std::string& key) {
+  BenchJson& BeginObject(const std::string& key) {
     Comma();
     out_ += Quote(key) + ": {";
     fresh_ = true;
     return *this;
   }
-  JsonWriter& EndObject() {
+  BenchJson& EndObject() {
     out_ += "\n";
     out_ += Indent(--depth_) + "}";
     fresh_ = false;
     return *this;
   }
-  JsonWriter& Field(const std::string& key, const std::string& value) {
+  BenchJson& Field(const std::string& key, const std::string& value) {
     Comma();
     out_ += Quote(key) + ": " + Quote(value);
     return *this;
   }
-  JsonWriter& Field(const std::string& key, const char* value) {
+  BenchJson& Field(const std::string& key, const char* value) {
     return Field(key, std::string(value));
   }
-  JsonWriter& Field(const std::string& key, double value) {
+  BenchJson& Field(const std::string& key, double value) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     Comma();
     out_ += Quote(key) + ": " + buf;
     return *this;
   }
-  JsonWriter& Field(const std::string& key, uint64_t value) {
+  BenchJson& Field(const std::string& key, uint64_t value) {
     Comma();
     out_ += Quote(key) + ": " + std::to_string(value);
     return *this;
   }
-  JsonWriter& Field(const std::string& key, int value) {
+  BenchJson& Field(const std::string& key, int value) {
     return Field(key, static_cast<uint64_t>(value));
   }
 

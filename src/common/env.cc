@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <thread>
 
+#include "src/common/parse_exact.h"
+
 namespace rhythm {
 
 bool EnvFlag(const char* name) {
@@ -12,15 +14,8 @@ bool EnvFlag(const char* name) {
 
 int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value) {
-    return fallback;
-  }
-  return static_cast<int>(parsed);
+  int parsed = fallback;
+  return value != nullptr && ParseExact(value, &parsed) ? parsed : fallback;
 }
 
 bool FastMode() { return EnvFlag("RHYTHM_FAST"); }

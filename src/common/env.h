@@ -21,7 +21,9 @@ namespace rhythm {
 // True when the named variable is set to a value starting with '1'.
 bool EnvFlag(const char* name);
 
-// Integer value of the named variable; `fallback` when unset or unparsable.
+// Integer value of the named variable; `fallback` when unset, or when the
+// value is not exactly one integer in int's range ("7x" and "4294967299"
+// fall back rather than read 7 or wrap to 3).
 int EnvInt(const char* name, int fallback);
 
 // True when the environment requests a fast (CI-scale) run; benches shrink

@@ -1,23 +1,84 @@
-// Shared JSON writing: the one escaping routine and the one %.17g double
-// rendering every JSON-emitting layer (obs exporters, the serving daemon,
-// bench artifacts) agrees on. Factored out of src/obs/exporters.cc so the
-// serving subsystem cannot drift from the recorder on number formatting —
-// bit-identical doubles across the batch/served boundary depend on it.
+// JSON in one module: the strict reader (JsonValue, ParseJson) the daemon
+// and the recording loader parse with, and the writer every JSON-emitting
+// layer renders with. One %.17g rendering keeps served and batch doubles
+// bit-identical.
 //
-// JsonWriter is a small streaming writer with comma/nesting bookkeeping for
-// code that builds whole documents (responses, snapshots); the free
-// functions remain for printf-style emitters that only need the primitives.
+// The reader is a recursive-descent parser, strict where a network-facing
+// endpoint needs it: it rejects trailing garbage, unterminated literals,
+// invalid numbers (NaN/Inf/hex), bad escapes, duplicate keys, and nesting
+// past a fixed depth cap so hostile bodies cannot overflow the stack.
+//
+// JsonWriter builds whole documents (responses, snapshots); the free
+// functions serve printf-style emitters that only need the primitives.
 
 #ifndef RHYTHM_SRC_COMMON_JSON_H_
 #define RHYTHM_SRC_COMMON_JSON_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "src/common/parse_exact.h"
 
 namespace rhythm {
 
-// %.17g keeps every double bit-exact across a write/parse round trip.
+struct JsonValue {
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  Type type = Type::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  // A string's decoded text; for a number, its literal as written, which
+  // GetInt reads exactly.
+  std::string string;
+  std::vector<JsonValue> array;
+  // Insertion-ordered; duplicate keys are rejected at parse time.
+  std::vector<std::pair<std::string, JsonValue>> object;
+
+  bool is_null() const { return type == Type::kNull; }
+  bool is_bool() const { return type == Type::kBool; }
+  bool is_number() const { return type == Type::kNumber; }
+  bool is_string() const { return type == Type::kString; }
+  bool is_array() const { return type == Type::kArray; }
+  bool is_object() const { return type == Type::kObject; }
+
+  // This number as a T when its literal is an integer that fits T; false
+  // (and *out untouched) for a fraction, an exponent, a value outside T's
+  // range or a value that is not a number. No double in between, so every
+  // 64-bit integer reads exactly.
+  template <typename T>
+  bool GetInt(T* out) const {
+    return is_number() && ParseExact(string, out);
+  }
+
+  // Object member lookup; null when absent or this is not an object.
+  const JsonValue* Find(const std::string& key) const;
+
+  // Typed member accessors with defaults — the idiom request translation
+  // uses for optional fields. A present member of the wrong type is NOT
+  // coerced; it reads as the fallback, and callers that care use Find().
+  double NumberOr(const std::string& key, double fallback) const;
+  // Exact for an integer literal within int64_t; any other number
+  // truncates toward zero, saturating outside int64_t's range.
+  int64_t IntOr(const std::string& key, int64_t fallback) const;
+  bool BoolOr(const std::string& key, bool fallback) const;
+  std::string StringOr(const std::string& key, const std::string& fallback) const;
+};
+
+// Deepest container nesting the parser accepts (arrays + objects combined).
+inline constexpr int kMaxJsonDepth = 64;
+
+// Parses `text` as one JSON document. Returns true and fills `out` on
+// success; false with a position-stamped message in `error` otherwise.
+bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
+
+// %.17g: every double bit-exact across a write/parse round trip, NaN and
+// infinities as nan/inf. For text that is not JSON (CSV, Prometheus).
+std::string ExactNum(double value);
+
+// A JSON number: ExactNum, or `null` for NaN and ±inf, which JSON cannot
+// spell (JSON.stringify's rule).
 std::string JsonNum(double value);
 
 // Body of a JSON string literal for `text` (no surrounding quotes): escapes

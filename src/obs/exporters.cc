@@ -1,25 +1,26 @@
 #include "src/obs/exporters.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "src/bemodel/be_job_spec.h"
 #include "src/common/json.h"
+#include "src/common/parse_exact.h"
 #include "src/control/top_controller.h"
 #include "src/fault/fault_schedule.h"
 
 namespace rhythm {
 namespace {
 
-// Shared JSON primitives (src/common/json.h): %.17g doubles and string
-// escaping, the same routines the serving daemon renders with.
+// Shared JSON primitives (src/common/json.h): %.17g doubles (null when not
+// finite) and string escaping, the same routines the serving daemon renders
+// with.
 std::string Num(double value) { return JsonNum(value); }
 std::string EscapeJson(const std::string& text) { return JsonEscape(text); }
 
@@ -85,169 +86,66 @@ std::string DetailName(const ObsEvent& event) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON field extraction for the flat objects *we* write. Handles
-// arbitrary key order and skips unknown keys; not a general JSON parser.
+// JSONL loading: each line goes through the strict reader (src/common/json.h)
+// and fields are read from the parsed object by type.
 
-// Position just past `"key":`, or npos.
-size_t FindKey(const std::string& line, const char* key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) {
-    return std::string::npos;
+// A double field holds a number, or null for NaN and ±inf (JsonNum's rule),
+// which reads back as NaN.
+bool Read(const JsonValue& value, double* out) {
+  if (value.is_null()) {
+    *out = std::numeric_limits<double>::quiet_NaN();
+    return true;
   }
-  return at + needle.size();
-}
-
-bool ParseNumber(const std::string& line, const char* key, double* out) {
-  const size_t at = FindKey(line, key);
-  if (at == std::string::npos) {
+  if (!value.is_number()) {
     return false;
   }
-  *out = std::strtod(line.c_str() + at, nullptr);
+  *out = value.number;
   return true;
 }
 
-double RequireNumber(const std::string& line, const char* key) {
-  double value = 0.0;
-  if (!ParseNumber(line, key, &value)) {
-    throw std::runtime_error("recording JSONL: missing numeric field '" +
-                             std::string(key) + "' in: " + line);
+bool Read(const JsonValue& value, std::string* out) {
+  if (!value.is_string()) {
+    return false;
   }
-  return value;
+  *out = value.string;
+  return true;
 }
 
-// Integer fields are read as integers, exactly for any value of T: digits
-// that do not fit T, or that continue as a fraction or exponent, throw.
+// Integer fields are read exactly for any value of T: a fraction, an
+// exponent or digits that do not fit T fail.
 template <typename T>
-bool ParseInteger(const std::string& line, const char* key, T* out) {
-  const size_t at = FindKey(line, key);
-  if (at == std::string::npos) {
+bool Read(const JsonValue& value, T* out) {
+  return value.GetInt(out);
+}
+
+bool Read(const JsonValue& value, std::vector<std::string>* out) {
+  if (!value.is_array()) {
     return false;
   }
-  const char* end = line.data() + line.size();
-  const auto [stop, error] = std::from_chars(line.data() + at, end, *out);
-  if (error != std::errc() ||
-      (stop != end && *stop != ',' && *stop != '}')) {
-    throw std::runtime_error("recording JSONL: field '" + std::string(key) +
-                             "' is not an integer in range in: " + line);
+  out->resize(value.array.size());
+  for (size_t i = 0; i < value.array.size(); ++i) {
+    if (!Read(value.array[i], &(*out)[i])) {
+      return false;
+    }
   }
   return true;
 }
 
-template <typename T>
-T RequireInteger(const std::string& line, const char* key) {
-  T value{};
-  if (!ParseInteger(line, key, &value)) {
-    throw std::runtime_error("recording JSONL: missing integer field '" +
-                             std::string(key) + "' in: " + line);
-  }
-  return value;
-}
-
-// Reads the string literal starting at line[at] == '"'. Advances *at past the
-// closing quote.
-std::string ReadStringAt(const std::string& line, size_t* at) {
-  if (*at >= line.size() || line[*at] != '"') {
-    throw std::runtime_error("recording JSONL: expected string in: " + line);
-  }
-  std::string out;
-  for (size_t i = *at + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') {
-      *at = i + 1;
-      return out;
-    }
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (i + 1 >= line.size()) {
-      break;
-    }
-    const char esc = line[++i];
-    switch (esc) {
-      case 'n':
-        out += '\n';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        if (i + 4 >= line.size()) {
-          throw std::runtime_error("recording JSONL: bad \\u escape in: " + line);
-        }
-        const std::string hex = line.substr(i + 1, 4);
-        out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-        i += 4;
-        break;
-      }
-      default:
-        out += esc;  // \" and \\ (and anything else verbatim).
-    }
-  }
-  throw std::runtime_error("recording JSONL: unterminated string in: " + line);
-}
-
-bool ParseString(const std::string& line, const char* key, std::string* out) {
-  size_t at = FindKey(line, key);
-  if (at == std::string::npos) {
+// Metric points: [[t,v],[t,v],...].
+bool Read(const JsonValue& value, TimeSeries* out) {
+  if (!value.is_array()) {
     return false;
   }
-  *out = ReadStringAt(line, &at);
+  for (const JsonValue& point : value.array) {
+    double time = 0.0;
+    double level = 0.0;
+    if (!point.is_array() || point.array.size() != 2 ||
+        !Read(point.array[0], &time) || !Read(point.array[1], &level)) {
+      return false;
+    }
+    out->Add(time, level);
+  }
   return true;
-}
-
-// Parses `"key":["a","b",...]`.
-std::vector<std::string> ParseStringArray(const std::string& line, const char* key) {
-  std::vector<std::string> out;
-  size_t at = FindKey(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') {
-    return out;
-  }
-  ++at;
-  while (at < line.size() && line[at] != ']') {
-    if (line[at] == ',' || std::isspace(static_cast<unsigned char>(line[at]))) {
-      ++at;
-      continue;
-    }
-    out.push_back(ReadStringAt(line, &at));
-  }
-  return out;
-}
-
-// Parses `"points":[[t,v],[t,v],...]` into a TimeSeries.
-TimeSeries ParsePoints(const std::string& line) {
-  TimeSeries series;
-  size_t at = FindKey(line, "points");
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') {
-    return series;
-  }
-  ++at;  // outer '['.
-  while (at < line.size() && line[at] != ']') {
-    if (line[at] != '[') {
-      ++at;
-      continue;
-    }
-    ++at;  // inner '['.
-    char* end = nullptr;
-    const double time = std::strtod(line.c_str() + at, &end);
-    at = static_cast<size_t>(end - line.c_str());
-    while (at < line.size() && (line[at] == ',' || line[at] == ' ')) {
-      ++at;
-    }
-    const double value = std::strtod(line.c_str() + at, &end);
-    at = static_cast<size_t>(end - line.c_str());
-    series.Add(time, value);
-    while (at < line.size() && line[at] != ']') {
-      ++at;
-    }
-    if (at < line.size()) {
-      ++at;  // inner ']'.
-    }
-  }
-  return series;
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -402,53 +300,77 @@ std::string ToJsonl(const Recording& recording) {
 
 Recording FromJsonl(const std::string& jsonl) {
   Recording recording;
+  RecordingMeta& meta = recording.meta;
   bool saw_meta = false;
+  std::string text;
+  JsonValue line;
+  const auto fail = [&text](const std::string& what) {
+    throw std::runtime_error("recording JSONL: " + what + " in: " + text);
+  };
+  // Reads field `key` of the current line into *out; false when absent. A
+  // field of the wrong type, or an integer outside its type, throws.
+  const auto get = [&](const char* key, auto* out) {
+    const JsonValue* value = line.Find(key);
+    if (value != nullptr && !Read(*value, out)) {
+      fail(std::string("field '") + key + "' has the wrong type or range");
+    }
+    return value != nullptr;
+  };
+  const auto need = [&](const char* key, auto* out) {
+    if (!get(key, out)) {
+      fail(std::string("missing field '") + key + "'");
+    }
+  };
   std::istringstream in(jsonl);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
+  while (std::getline(in, text)) {
+    if (text.empty()) {
       continue;
     }
-    std::string type;
-    if (!ParseString(line, "type", &type)) {
-      throw std::runtime_error("recording JSONL: line without \"type\": " + line);
+    std::string error;
+    if (!ParseJson(text, &line, &error) || !line.is_object()) {
+      fail(error.empty() ? "line is not a JSON object" : error);
     }
+    std::string type;
+    need("type", &type);
     if (type == "meta") {
       saw_meta = true;
-      ParseString(line, "app", &recording.meta.app);
-      ParseString(line, "be", &recording.meta.be);
-      ParseString(line, "controller", &recording.meta.controller);
-      ParseInteger(line, "seed", &recording.meta.seed);
-      ParseNumber(line, "sla_ms", &recording.meta.sla_ms);
-      ParseNumber(line, "period_s", &recording.meta.controller_period_s);
-      recording.meta.pods = ParseStringArray(line, "pods");
-      ParseInteger(line, "events_total", &recording.events_total);
-      ParseInteger(line, "events_dropped", &recording.events_dropped);
+      get("app", &meta.app);
+      get("be", &meta.be);
+      get("controller", &meta.controller);
+      get("seed", &meta.seed);
+      get("sla_ms", &meta.sla_ms);
+      get("period_s", &meta.controller_period_s);
+      get("pods", &meta.pods);
+      get("events_total", &recording.events_total);
+      get("events_dropped", &recording.events_dropped);
     } else if (type == "event") {
       ObsEvent event;
-      event.time_s = RequireNumber(line, "t");
-      event.machine = RequireInteger<int32_t>(line, "machine");
-      event.kind = static_cast<ObsKind>(RequireInteger<uint8_t>(line, "k"));
-      event.code = RequireInteger<uint8_t>(line, "code");
-      event.detail = RequireInteger<uint8_t>(line, "detail");
-      event.a = RequireNumber(line, "a");
-      event.b = RequireNumber(line, "b");
-      event.c = RequireNumber(line, "c");
-      event.d = RequireNumber(line, "d");
+      uint8_t kind = 0;
+      need("t", &event.time_s);
+      need("machine", &event.machine);
+      need("k", &kind);
+      if (kind >= kObsKindCount) {
+        fail("unknown event kind " + std::to_string(kind));
+      }
+      event.kind = static_cast<ObsKind>(kind);
+      need("code", &event.code);
+      need("detail", &event.detail);
+      need("a", &event.a);
+      need("b", &event.b);
+      need("c", &event.c);
+      need("d", &event.d);
       recording.events.push_back(event);
     } else if (type == "metric") {
       MetricsRegistry::Metric metric;
-      if (!ParseString(line, "name", &metric.name)) {
-        throw std::runtime_error("recording JSONL: metric without name: " + line);
+      uint8_t metric_type = 0;
+      need("name", &metric.name);
+      if (get("mtype", &metric_type)) {
+        metric.type = static_cast<MetricType>(metric_type);
       }
-      uint8_t type = 0;
-      if (ParseInteger(line, "mtype", &type)) {
-        metric.type = static_cast<MetricType>(type);
-      }
-      ParseNumber(line, "q", &metric.quantile);
-      ParseInteger(line, "obs", &metric.observations);
-      ParseNumber(line, "current", &metric.current);
-      metric.timeline = ParsePoints(line);
+      get("q", &metric.quantile);
+      get("obs", &metric.observations);
+      get("current", &metric.current);
+      get("points", &metric.timeline);
       recording.metrics.push_back(std::move(metric));
     }
     // Unknown types: skipped for forward compatibility.
@@ -539,8 +461,10 @@ std::string ToPerfettoJson(const Recording& recording) {
     int pid = 0;
     if (metric.name.compare(0, 3, "pod") == 0) {
       const size_t dot = metric.name.find('.');
-      if (dot != std::string::npos && dot > 3) {
-        pid = std::atoi(metric.name.c_str() + 3) + 1;
+      int pod = 0;
+      if (dot != std::string::npos &&
+          ParseExact(std::string_view(metric.name).substr(3, dot - 3), &pod)) {
+        pid = pod + 1;
       }
     }
     for (const auto& point : metric.timeline.points()) {
@@ -575,12 +499,12 @@ std::string ToMetricsCsv(const Recording& recording) {
         break;
       }
     }
-    out << Num(time);
+    out << ExactNum(time);
     for (const auto& metric : recording.metrics) {
       const auto& points = metric.timeline.points();
       out << ',';
       if (row < points.size()) {
-        out << Num(points[row].value);
+        out << ExactNum(points[row].value);
       }
     }
     out << '\n';

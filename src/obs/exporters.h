@@ -13,6 +13,8 @@
 //               per metric) for spreadsheets / gnuplot.
 //
 // Doubles are printed with %.17g so values survive the round trip exactly.
+// JSON has no NaN or infinity: the JSON formats write them as null, which
+// FromJsonl reads back as NaN (so ±inf loads as NaN). CSV keeps nan/inf.
 
 #ifndef RHYTHM_SRC_OBS_EXPORTERS_H_
 #define RHYTHM_SRC_OBS_EXPORTERS_H_
@@ -28,9 +30,10 @@ std::string ToJsonl(const Recording& recording);
 std::string ToPerfettoJson(const Recording& recording);
 std::string ToMetricsCsv(const Recording& recording);
 
-// Parses the JSONL format back into a Recording. Throws std::runtime_error
-// with line context on malformed input. Lines of unknown "type" are skipped
-// so the format can grow forward-compatibly.
+// Parses the JSONL format back into a Recording, each line with the strict
+// JSON reader (src/common/json.h). Throws std::runtime_error with line
+// context on malformed input. Lines of unknown "type" are skipped so the
+// format can grow forward-compatibly.
 Recording FromJsonl(const std::string& jsonl);
 
 // File wrappers; return false on IO failure (they do not throw for IO).

@@ -821,8 +821,10 @@ ClusterSummary RunCluster(const ClusterRunRequest& request,
   ValidateRequest(request);
   // Each epoch runs its placed groups concurrently between conservative-window
   // barriers. Shard count is a performance knob only — summaries are
-  // bit-identical at any value.
-  ShardPool pool(options.shards > 0 ? options.shards : DefaultShardCount(options.jobs));
+  // bit-identical at any value — so the pool never outnumbers the groups.
+  const int shards =
+      options.shards > 0 ? options.shards : DefaultShardCount(options.jobs);
+  ShardPool pool(std::min(shards, request.spec.TotalGroups()));
   ShardedEngine engine(&pool);
   RequestExecution execution(request);
   execution.Run(engine);

@@ -9,7 +9,6 @@
 #include "src/cluster/app_thresholds.h"
 #include "src/common/json.h"
 #include "src/place/cluster_engine.h"
-#include "src/serve/json.h"
 
 namespace rhythm {
 namespace {
@@ -410,7 +409,7 @@ std::string RhythmDaemon::MetricsText() const {
   std::string out;
   out += "# HELP rhythmd_uptime_seconds Seconds since the daemon started.\n";
   out += "# TYPE rhythmd_uptime_seconds gauge\n";
-  out += "rhythmd_uptime_seconds " + JsonNum(uptime_s) + "\n";
+  out += "rhythmd_uptime_seconds " + ExactNum(uptime_s) + "\n";
 
   out += "# HELP rhythmd_connections_accepted_total Connections admitted.\n";
   out += "# TYPE rhythmd_connections_accepted_total counter\n";
@@ -445,11 +444,11 @@ std::string RhythmDaemon::MetricsText() const {
   out += "# TYPE rhythmd_request_latency_ms summary\n";
   for (const auto& [endpoint, stats] : stats_) {
     out += "rhythmd_request_latency_ms{endpoint=\"" + endpoint +
-           "\",quantile=\"0.5\"} " + JsonNum(stats.p50.Value()) + "\n";
+           "\",quantile=\"0.5\"} " + ExactNum(stats.p50.Value()) + "\n";
     out += "rhythmd_request_latency_ms{endpoint=\"" + endpoint +
-           "\",quantile=\"0.95\"} " + JsonNum(stats.p95.Value()) + "\n";
+           "\",quantile=\"0.95\"} " + ExactNum(stats.p95.Value()) + "\n";
     out += "rhythmd_request_latency_ms{endpoint=\"" + endpoint +
-           "\",quantile=\"0.99\"} " + JsonNum(stats.p99.Value()) + "\n";
+           "\",quantile=\"0.99\"} " + ExactNum(stats.p99.Value()) + "\n";
     out += "rhythmd_request_latency_ms_count{endpoint=\"" + endpoint + "\"} " +
            std::to_string(stats.p50.count()) + "\n";
   }

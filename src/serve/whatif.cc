@@ -53,6 +53,18 @@ int IntField(const JsonValue& object, const std::string& key, int fallback,
   return static_cast<int>(value);
 }
 
+// A seed: any uint64_t integer literal exactly; any other number as IntOr
+// reads it, converted to uint64_t.
+uint64_t SeedField(const JsonValue& object, const std::string& key,
+                   uint64_t fallback) {
+  const JsonValue* value = object.Find(key);
+  uint64_t seed = fallback;
+  if (value != nullptr && value->is_number() && !value->GetInt(&seed)) {
+    seed = static_cast<uint64_t>(object.IntOr(key, 0));
+  }
+  return seed;
+}
+
 // Typos in a what-if body should come back as 422s naming the key, not be
 // silently ignored — a query that "works" while dropping its fault schedule
 // is worse than one that fails loudly.
@@ -134,10 +146,21 @@ std::shared_ptr<const LoadProfile> ParseLoadProfile(const JsonValue& object) {
         RequireNumber(object, "load", "load_profile"));
   }
   if (kind == "diurnal") {
-    return std::make_shared<DiurnalTrace>(
-        RequireNumber(object, "duration_s", "load_profile"),
-        RequireNumber(object, "min_load", "load_profile"),
-        RequireNumber(object, "max_load", "load_profile"));
+    // DiurnalTrace's preconditions, checked here so a body answers 422
+    // instead of aborting the process.
+    const double duration_s = RequireNumber(object, "duration_s", "load_profile");
+    const double min_load = RequireNumber(object, "min_load", "load_profile");
+    const double max_load = RequireNumber(object, "max_load", "load_profile");
+    const char* bad =
+        duration_s <= 0.0     ? "\"duration_s\" must be positive"
+        : min_load < 0.0      ? "\"min_load\" must be at least 0"
+        : max_load > 1.0      ? "\"max_load\" must be at most 1"
+        : min_load > max_load ? "\"min_load\" must not exceed \"max_load\""
+                              : nullptr;
+    if (bad != nullptr) {
+      Reject(std::string("load_profile: ") + bad);
+    }
+    return std::make_shared<DiurnalTrace>(duration_s, min_load, max_load);
   }
   Reject("load_profile: kind must be \"constant\" or \"diurnal\"");
 }
@@ -162,7 +185,7 @@ RunRequest ParseTrial(const JsonValue& body) {
       !ParseControllerKindName(controller, &request.controller)) {
     Reject("unknown controller \"" + controller + "\"");
   }
-  request.seed = static_cast<uint64_t>(body.IntOr("seed", 11));
+  request.seed = SeedField(body, "seed", 11);
   request.load = body.NumberOr("load", request.load);
   request.warmup_s = body.NumberOr("warmup_s", request.warmup_s);
   request.measure_s = body.NumberOr("measure_s", request.measure_s);
@@ -210,8 +233,8 @@ ClusterSpec ParseClusterSpec(const JsonValue& body) {
   }
   const int machines = static_cast<int>(machines_in);
   if (body.BoolOr("synthetic", false)) {
-    const uint64_t spec_seed = static_cast<uint64_t>(
-        body.IntOr("synthetic_seed", body.IntOr("seed", 11)));
+    const uint64_t spec_seed =
+        SeedField(body, "synthetic_seed", SeedField(body, "seed", 11));
     return SyntheticClusterSpec(machines, spec_seed);
   }
   const JsonValue* demand = body.Find("lc_demand");
@@ -285,7 +308,7 @@ ClusterRunRequest ParseCluster(const JsonValue& body) {
       !ParseControllerKindName(controller, &request.controller)) {
     Reject("unknown controller \"" + controller + "\"");
   }
-  request.seed = static_cast<uint64_t>(body.IntOr("seed", 11));
+  request.seed = SeedField(body, "seed", 11);
   request.warmup_s = body.NumberOr("warmup_s", request.warmup_s);
   request.measure_s = body.NumberOr("measure_s", request.measure_s);
   request.epochs = IntField(body, "epochs", request.epochs, "cluster");
@@ -550,7 +573,7 @@ std::string PlacementsResponseJson(const JsonValue& body) {
                      "be_backlog", "seed", "policies", "load_scale", "epoch"},
                     "placements");
   const ClusterSpec spec = ParseClusterSpec(body);
-  const uint64_t seed = static_cast<uint64_t>(body.IntOr("seed", 11));
+  const uint64_t seed = SeedField(body, "seed", 11);
   const double load_scale = body.NumberOr("load_scale", 1.0);
   const int epoch = IntField(body, "epoch", 0, "placements");
 

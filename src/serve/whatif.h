@@ -14,9 +14,9 @@
 
 #include <string>
 
+#include "src/common/json.h"
 #include "src/place/cluster_engine.h"
 #include "src/runner/run_request.h"
-#include "src/serve/json.h"
 
 namespace rhythm {
 

@@ -8,6 +8,17 @@
 
 namespace rhythm {
 
+// Per-component latency hiccups (GC pauses, compaction stalls, page-cache
+// writeback): short bursts during which a pod's service times dilate. They
+// make the per-second 99th percentile *unstable* — the paper's premise ("the
+// fluctuations constitute the heavy-tail") and the reason riding the SLA
+// edge costs violations. The interval is exponential per pod.
+constexpr double kHiccupMeanIntervalS = 15.0;
+constexpr double kHiccupMinDurationS = 0.3;
+constexpr double kHiccupMaxDurationS = 0.6;
+constexpr double kHiccupMinFactor = 1.15;
+constexpr double kHiccupMaxFactor = 1.35;
+
 LcService::LcService(Simulator* sim, AppSpec app, const Config& config)
     : sim_(sim),
       app_(std::move(app)),
@@ -43,22 +54,19 @@ void LcService::Start() {
   }
   running_ = true;
   ScheduleNextArrival();
-  if (config_.hiccups) {
-    for (int pod = 0; pod < app_.pod_count(); ++pod) {
-      ScheduleNextHiccup(pod);
-    }
+  for (int pod = 0; pod < app_.pod_count(); ++pod) {
+    ScheduleNextHiccup(pod);
   }
 }
 
 void LcService::ScheduleNextHiccup(int pod) {
-  sim_->Schedule(rng_.Exponential(config_.hiccup_mean_interval_s), [this, pod] {
+  sim_->Schedule(rng_.Exponential(kHiccupMeanIntervalS), [this, pod] {
     if (!running_) {
       return;
     }
     hiccup_until_[pod] =
-        sim_->Now() +
-        rng_.Uniform(config_.hiccup_min_duration_s, config_.hiccup_max_duration_s);
-    hiccup_factor_[pod] = rng_.Uniform(config_.hiccup_min_factor, config_.hiccup_max_factor);
+        sim_->Now() + rng_.Uniform(kHiccupMinDurationS, kHiccupMaxDurationS);
+    hiccup_factor_[pod] = rng_.Uniform(kHiccupMinFactor, kHiccupMaxFactor);
     ScheduleNextHiccup(pod);
   });
 }

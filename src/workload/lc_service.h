@@ -45,17 +45,6 @@ class LcService {
     // reuse one connection per edge, so concurrent requests share message
     // identifiers (the §3.3 ambiguity the mean-based analyzer tolerates).
     bool persistent_tcp = false;
-    // Per-component latency hiccups (GC pauses, compaction stalls, page-cache
-    // writeback): short bursts during which a pod's service times dilate.
-    // They make the per-second 99th percentile *unstable* — the paper's
-    // premise ("the fluctuations constitute the heavy-tail") and the reason
-    // riding the SLA edge costs violations. Interval is exponential per pod.
-    bool hiccups = true;
-    double hiccup_mean_interval_s = 15.0;
-    double hiccup_min_duration_s = 0.3;
-    double hiccup_max_duration_s = 0.6;
-    double hiccup_min_factor = 1.15;
-    double hiccup_max_factor = 1.35;
   };
 
   LcService(Simulator* sim, AppSpec app, const Config& config);

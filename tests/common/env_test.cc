@@ -74,5 +74,27 @@ TEST_F(ShardCountTest, ResolvesShardsEnvThenJobsThenJobsEnvThenHardware) {
   EXPECT_EQ(DefaultShardCount(0), cores);
 }
 
+TEST_F(ShardCountTest, ValuesThatAreNotExactlyOneIntFallBack) {
+  ::setenv("RHYTHM_JOBS", "5", 1);
+  // Trailing characters, wrap-around past 2^32, anything outside int's
+  // range, and a sign or space strtol would have skipped: all mean unset.
+  for (const char* value : {"7x", "4294967299", "2147483648", "-2147483649",
+                            "99999999999999999999", "+7", " 7", "7 ", ""}) {
+    ::setenv("RHYTHM_SHARDS", value, 1);
+    EXPECT_EQ(DefaultShardCount(3), 3) << "'" << value << "'";
+    EXPECT_EQ(EnvInt("RHYTHM_SHARDS", -9), -9) << "'" << value << "'";
+  }
+  // The extremes of int still read exactly; nothing starts a pool here.
+  ::setenv("RHYTHM_SHARDS", "2147483647", 1);
+  EXPECT_EQ(EnvInt("RHYTHM_SHARDS", 0), 2147483647);
+  ::setenv("RHYTHM_SHARDS", "-2147483648", 1);
+  EXPECT_EQ(EnvInt("RHYTHM_SHARDS", 0), -2147483647 - 1);
+
+  ::unsetenv("RHYTHM_SHARDS");
+  ::setenv("RHYTHM_JOBS", "5x", 1);
+  const unsigned hardware = std::thread::hardware_concurrency();
+  EXPECT_EQ(DefaultShardCount(0), hardware > 0 ? static_cast<int>(hardware) : 1);
+}
+
 }  // namespace
 }  // namespace rhythm

@@ -1,12 +1,15 @@
 #include "src/obs/exporters.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/common/json.h"
 #include "src/obs/obs_event.h"
 #include "src/obs/recording.h"
 
@@ -182,6 +185,62 @@ TEST(Exporters, FromJsonlRejectsOutOfRangeIntegers) {
   EXPECT_THROW(
       FromJsonl("{\"type\":\"meta\",\"seed\":18446744073709551616}\n"),
       std::runtime_error);
+}
+
+TEST(Exporters, FromJsonlRejectsMalformedFieldsAndLines) {
+  const std::string meta = "{\"type\":\"meta\",\"app\":\"x\"}\n";
+  const std::string event =
+      "{\"type\":\"event\",\"t\":1,\"machine\":0,\"k\":0,\"code\":0,"
+      "\"detail\":0,\"a\":1.5,\"b\":0,\"c\":0,\"d\":0}";
+  EXPECT_EQ(FromJsonl(meta + event + "\n").events.front().a, 1.5);
+
+  // Junk after or instead of a number, a line missing or doubling its
+  // closing brace, an unknown kind and a quoted number are each an error.
+  auto with = [&event](const std::string& from, const std::string& to) {
+    std::string line = event;
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  for (const std::string& bad :
+       {with("\"t\":1", "\"t\":oops"), with("\"a\":1.5", "\"a\":1.5garbage"),
+        event.substr(0, event.size() - 1), with("\"k\":0", "\"k\":200"),
+        with("\"a\":1.5", "\"a\":\"1.5\""), event + "}"}) {
+    EXPECT_THROW(FromJsonl(meta + bad + "\n"), std::runtime_error) << bad;
+  }
+  EXPECT_THROW(FromJsonl(meta + "{\"type\":\"metric\",\"name\":\"m\","
+                                "\"points\":[[1,2],[3]]}\n"),
+               std::runtime_error);
+}
+
+TEST(Exporters, NonFiniteDoublesWriteNullAndLoadAsNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Recording original = MakeRecording();
+  original.events[0].a = nan;
+  original.events[1].time_s = std::numeric_limits<double>::infinity();
+  original.metrics[0].timeline.Add(3.0, nan);
+  original.metrics[0].current = -std::numeric_limits<double>::infinity();
+
+  const std::string jsonl = ToJsonl(original);
+  EXPECT_EQ(jsonl.find("nan"), std::string::npos);
+  EXPECT_EQ(jsonl.find("inf"), std::string::npos);
+  const Recording copy = FromJsonl(jsonl);
+  EXPECT_TRUE(std::isnan(copy.events[0].a));
+  EXPECT_EQ(copy.events[0].b, original.events[0].b);
+  EXPECT_TRUE(std::isnan(copy.events[1].time_s));  // ±inf loads as NaN.
+  EXPECT_TRUE(std::isnan(copy.metrics[0].current));
+  ASSERT_EQ(copy.metrics[0].timeline.size(), 3u);
+  EXPECT_TRUE(std::isnan(copy.metrics[0].timeline.points()[2].value));
+
+  // Every JSON export is JSON the strict reader accepts.
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(ParseJson(ToPerfettoJson(original), &doc, &error)) << error;
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_TRUE(ParseJson(line, &doc, &error)) << error << " in: " << line;
+  }
+  // CSV is not JSON and keeps printf's spelling.
+  EXPECT_NE(ToMetricsCsv(original).find("nan"), std::string::npos);
 }
 
 TEST(Exporters, PerfettoTraceLooksLikeChromeJson) {

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "src/cluster/app_thresholds.h"
-#include "src/serve/json.h"
+#include "src/common/json.h"
 #include "tests/serve/http_client.h"
 
 namespace rhythm {

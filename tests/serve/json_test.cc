@@ -71,6 +71,37 @@ TEST(JsonParseTest, IntOrSaturatesOutsideInt64) {
   EXPECT_EQ(doc.IntOr("frac", 0), -2);
 }
 
+TEST(JsonParseTest, GetIntReadsIntegerLiteralsExactly) {
+  const JsonValue doc = MustParse(
+      "{\"odd\": 9007199254740993, \"max\": 18446744073709551615, "
+      "\"over\": 18446744073709551616, \"neg\": -1, \"byte\": 255, "
+      "\"frac\": 1.0, \"exp\": 1e3, \"text\": \"7\"}");
+  uint64_t u64 = 0;
+  ASSERT_TRUE(doc.Find("odd")->GetInt(&u64));
+  EXPECT_EQ(u64, (uint64_t{1} << 53) + 1);  // no double in between.
+  ASSERT_TRUE(doc.Find("max")->GetInt(&u64));
+  EXPECT_EQ(u64, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(doc.IntOr("odd", 0), (int64_t{1} << 53) + 1);
+
+  // Out of range, negative for an unsigned type, a fraction, an exponent
+  // or not a number at all: false, and the output is untouched.
+  u64 = 42;
+  for (const char* key : {"over", "neg", "frac", "exp", "text"}) {
+    EXPECT_FALSE(doc.Find(key)->GetInt(&u64)) << key;
+  }
+  EXPECT_EQ(u64, 42u);
+  uint8_t byte = 0;
+  EXPECT_TRUE(doc.Find("byte")->GetInt(&byte));
+  EXPECT_EQ(byte, 255);
+  int8_t small = 0;
+  EXPECT_FALSE(doc.Find("byte")->GetInt(&small));
+
+  // IntOr keeps reading the other numbers as before.
+  EXPECT_EQ(doc.IntOr("frac", 0), 1);
+  EXPECT_EQ(doc.IntOr("exp", 0), 1000);
+  EXPECT_EQ(doc.IntOr("neg", 0), -1);
+}
+
 TEST(JsonParseTest, StringEscapes) {
   EXPECT_EQ(MustParse("\"a\\n\\t\\\"\\\\b\"").string, "a\n\t\"\\b");
   EXPECT_EQ(MustParse("\"\\u0041\"").string, "A");
@@ -135,6 +166,16 @@ TEST(JsonParseTest, ErrorsCarryBytePositions) {
   const std::string error = MustFail("{\"a\": bogus}");
   EXPECT_NE(error.find("byte"), std::string::npos) << error;
   EXPECT_EQ(error.rfind("json:", 0), 0u) << error;
+}
+
+TEST(JsonRoundTripTest, NonFiniteNumbersRenderAsNull) {
+  EXPECT_EQ(JsonNum(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(JsonNum(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(JsonNum(0.1), "0.10000000000000001");
+  EXPECT_EQ(ExactNum(std::numeric_limits<double>::infinity()), "inf");
+  JsonWriter w;
+  w.BeginArray().Number(std::numeric_limits<double>::infinity()).EndArray();
+  EXPECT_TRUE(MustParse(w.str()).array[0].is_null());
 }
 
 TEST(JsonRoundTripTest, WriterOutputReparsesExactly) {

@@ -10,10 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/place/cluster_engine.h"
 #include "src/runner/runner.h"
 #include "src/serve/daemon.h"
-#include "src/serve/json.h"
 #include "tests/serve/http_client.h"
 
 namespace rhythm {
@@ -216,6 +216,44 @@ TEST(ParseWhatIfTest, LoadProfilesConstruct) {
   ASSERT_NE(diurnal.trial.profile, nullptr);
 }
 
+// A diurnal load profile; each bound below breaks one DiurnalTrace
+// precondition, which must come back as a rejection naming the key, not
+// as a process abort.
+std::string DiurnalBody(const char* duration_s, const char* min_load,
+                        const char* max_load) {
+  return std::string("{\"app\":\"Redis\",\"controller\":\"none\",") +
+         "\"load_profile\":{\"kind\":\"diurnal\",\"duration_s\":" +
+         duration_s + ",\"min_load\":" + min_load +
+         ",\"max_load\":" + max_load + "}}";
+}
+
+TEST(ParseWhatIfTest, DiurnalDurationMustBePositive) {
+  for (const char* duration_s : {"0", "-60"}) {
+    EXPECT_NE(RejectionOf(DiurnalBody(duration_s, "0.2", "0.9"))
+                  .find("duration_s"),
+              std::string::npos)
+        << duration_s;
+  }
+}
+
+TEST(ParseWhatIfTest, DiurnalMinLoadMustNotBeNegative) {
+  EXPECT_NE(RejectionOf(DiurnalBody("600", "-0.1", "0.9")).find("min_load"),
+            std::string::npos);
+}
+
+TEST(ParseWhatIfTest, DiurnalMaxLoadMustNotExceedOne) {
+  EXPECT_NE(RejectionOf(DiurnalBody("600", "0.2", "1.5")).find("max_load"),
+            std::string::npos);
+}
+
+TEST(ParseWhatIfTest, DiurnalMinLoadMustNotExceedMaxLoad) {
+  EXPECT_NE(RejectionOf(DiurnalBody("600", "0.8", "0.3")).find("min_load"),
+            std::string::npos);
+  // The edges themselves are valid.
+  EXPECT_NE(ParseWhatIfQuery(MustParse(DiurnalBody("1", "0", "1"))).trial.profile,
+            nullptr);
+}
+
 TEST(WhatIfRenderTest, ResponseJsonReparsesAndEchoesTheRequest) {
   WhatIfQuery query;
   query.trial.seed = 3;
@@ -298,6 +336,59 @@ TEST(WhatIfEvalTest, ClusterMatchesBatchRunBitExactly) {
   EXPECT_EQ(summary->IntOr("groups_placed", -1), batch.groups_placed);
   // Groups list only on request.
   EXPECT_EQ(summary->Find("groups"), nullptr);
+}
+
+// Seeds past 2^53 have no exact double: a group trial's 64-bit derived
+// seed must replay through /v1/whatif as itself.
+TEST(WhatIfEvalTest, SeedsPastTwoTo53EchoAndMatchBatchRuns) {
+  WhatIfEvalOptions options;
+  for (const uint64_t seed :
+       {(uint64_t{1} << 53) + 1, std::numeric_limits<uint64_t>::max()}) {
+    const std::string literal = std::to_string(seed);
+    WhatIfQuery trial;
+    trial.trial.app = LcAppKind::kRedis;
+    trial.trial.be = BeJobKind::kWordcount;
+    trial.trial.seed = seed;
+    trial.trial.warmup_s = 2;
+    trial.trial.measure_s = 8;
+    EXPECT_EQ(EvalWhatIfJson("{\"app\":\"Redis\",\"be\":\"wordcount\","
+                             "\"seed\":" + literal +
+                                 ",\"warmup_s\":2,\"measure_s\":8}",
+                             options),
+              WhatIfResponseJson(trial, rhythm::Run(trial.trial)))
+        << seed;
+
+    WhatIfQuery cluster;
+    cluster.kind = WhatIfQuery::Kind::kCluster;
+    cluster.cluster.spec.machines = 6;
+    cluster.cluster.spec.lc_demand = {{LcAppKind::kRedis, 2, 0.4}};
+    cluster.cluster.spec.be_backlog = {{BeJobKind::kWordcount, 1.0}};
+    cluster.cluster.seed = seed;
+    cluster.cluster.warmup_s = 2;
+    cluster.cluster.measure_s = 8;
+    EXPECT_EQ(EvalWhatIfJson("{\"kind\":\"cluster\",\"machines\":6,"
+                             "\"seed\":" + literal +
+                                 ",\"warmup_s\":2,\"measure_s\":8,"
+                                 "\"lc_demand\":[{\"app\":\"Redis\","
+                                 "\"count\":2,\"load\":0.4}],"
+                                 "\"be_backlog\":[{\"be\":\"wordcount\","
+                                 "\"weight\":1}]}",
+                             options),
+              WhatIfResponseJson(cluster, RunCluster(cluster.cluster)))
+        << seed;
+  }
+  // The synthetic spec's seed is read the same way.
+  const WhatIfQuery synthetic = ParseWhatIfQuery(MustParse(
+      "{\"kind\":\"cluster\",\"synthetic\":true,\"machines\":8,"
+      "\"synthetic_seed\":18446744073709551615}"));
+  const ClusterSpec want =
+      SyntheticClusterSpec(8, std::numeric_limits<uint64_t>::max());
+  const ClusterSpec& got = synthetic.cluster.spec;
+  ASSERT_EQ(got.lc_demand.size(), want.lc_demand.size());
+  for (size_t i = 0; i < want.lc_demand.size(); ++i) {
+    EXPECT_EQ(got.lc_demand[i].app, want.lc_demand[i].app);
+    EXPECT_EQ(got.lc_demand[i].load, want.lc_demand[i].load);
+  }
 }
 
 TEST(PlacementsTest, EvaluatesEveryRegisteredPolicy) {
@@ -423,6 +514,25 @@ TEST(DaemonEndpointTest, OversizedDemandIs422AndTheDaemonStaysUp) {
   EXPECT_NE(placements.body.find("lc_demand"), std::string::npos);
   EXPECT_EQ(Fetch(port, "POST", "/v1/whatif",
                   "{\"kind\":\"cluster\"," + huge.substr(1))
+                .status,
+            422);
+  EXPECT_EQ(Fetch(port, "GET", "/healthz").status, 200);
+  daemon.Stop();
+}
+
+TEST(DaemonEndpointTest, OutOfBoundsLoadProfileIs422AndTheDaemonStaysUp) {
+  DaemonOptions options;
+  options.server.port = 0;
+  RhythmDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+  const int port = daemon.port();
+
+  const TestResponse zero =
+      Fetch(port, "POST", "/v1/whatif", DiurnalBody("0", "0.2", "0.9"));
+  EXPECT_EQ(zero.status, 422);
+  EXPECT_NE(zero.body.find("duration_s"), std::string::npos);
+  EXPECT_EQ(Fetch(port, "POST", "/v1/whatif", DiurnalBody("600", "0.2", "1.5"))
                 .status,
             422);
   EXPECT_EQ(Fetch(port, "GET", "/healthz").status, 200);

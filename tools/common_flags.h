@@ -29,11 +29,11 @@
 #ifndef RHYTHM_TOOLS_COMMON_FLAGS_H_
 #define RHYTHM_TOOLS_COMMON_FLAGS_H_
 
-#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <system_error>
+
+#include "src/common/parse_exact.h"
 
 namespace rhythm {
 
@@ -96,25 +96,17 @@ class FlagParser {
     return nullptr;
   }
 
-  // The whole value must parse as a T: std::from_chars rejects an empty
-  // value, a sign on an unsigned type and an out-of-range number, and the
-  // end pointer check rejects trailing characters. On failure the flag
-  // stays current and its value unconsumed.
+  // The whole value must parse as a T (ParseExact: no empty value, sign on
+  // an unsigned type, out-of-range number or trailing characters). On
+  // failure the flag stays current and its value unconsumed.
   template <typename T>
   bool Number(const char* flag, T* out) {
     const int at = index_;
     const char* value = Value(flag);
-    if (value == nullptr) {
-      return false;
-    }
-    const char* end = value + std::strlen(value);
-    T parsed{};
-    const auto [stop, error] = std::from_chars(value, end, parsed);
-    if (error != std::errc() || stop != end) {
+    if (value == nullptr || !ParseExact(value, out)) {
       index_ = at;
       return false;
     }
-    *out = parsed;
     return true;
   }
 

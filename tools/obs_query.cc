@@ -8,21 +8,23 @@
 //   obs_query timeline <recording.jsonl> [--step S]
 //
 // Event filters (combinable; all default to "everything"):
-//   --kind K               decision | actuation | fault | slo | be
+//   --kind K               decision | actuation | fault | slo | be | placement
 //   --machine M            only machine M (-1 = cluster-wide events)
 //   --from T --to T        time window [T, T] in simulated seconds
 //   --before-first-kill S  window = the S seconds up to the first BE kill
 //   --limit N              print at most N events (default unlimited)
+//
+// Exits 2 on an unknown or malformed option, 1 on a recording that cannot
+// be read or parsed.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/obs/exporters.h"
 #include "src/obs/recording.h"
+#include "tools/common_flags.h"
 
 using namespace rhythm;
 
@@ -33,7 +35,7 @@ int Usage() {
                "usage: obs_query <summary|events|timeline> <recording.jsonl> [options]\n"
                "  summary                 run metadata and event/metric counts\n"
                "  events [filters]        print matching events chronologically\n"
-               "    --kind K              decision|actuation|fault|slo|be\n"
+               "    --kind K              decision|actuation|fault|slo|be|placement\n"
                "    --machine M           only machine M (-1 = cluster-wide)\n"
                "    --from T --to T       time window in simulated seconds\n"
                "    --before-first-kill S the S seconds up to the first BE kill\n"
@@ -52,14 +54,36 @@ bool ParseKind(const std::string& name, ObsKind* kind) {
   return false;
 }
 
-// Pulls `--flag value` out of argv; returns nullptr when absent.
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return argv[i + 1];
-    }
+// The options after `<command> <recording.jsonl>`; main decides which ones
+// a command takes.
+struct Options {
+  std::string kind;
+  int machine = -2;  // -2 = any (since -1 legitimately means cluster-wide).
+  double from = -1e300;
+  double to = 1e300;
+  std::optional<double> before_first_kill;
+  int limit = -1;  // < 0: unlimited.
+  std::optional<double> step;
+};
+
+bool MatchOptional(FlagParser& flags, const char* flag,
+                   std::optional<double>* out) {
+  double value = 0.0;
+  if (!flags.Double(flag, &value)) {
+    return false;
   }
-  return nullptr;
+  *out = value;
+  return true;
+}
+
+bool MatchEventFlags(FlagParser& flags, Options* options) {
+  return flags.Str("--kind", &options->kind) ||
+         flags.Int("--machine", &options->machine) ||
+         flags.Double("--from", &options->from) ||
+         flags.Double("--to", &options->to) ||
+         MatchOptional(flags, "--before-first-kill",
+                       &options->before_first_kill) ||
+         flags.Int("--limit", &options->limit);
 }
 
 int CmdSummary(const Recording& recording) {
@@ -115,61 +139,47 @@ int CmdSummary(const Recording& recording) {
   return 0;
 }
 
-int CmdEvents(const Recording& recording, int argc, char** argv) {
+int CmdEvents(const Recording& recording, const Options& options) {
   bool kind_set = false;
   ObsKind kind = ObsKind::kDecision;
-  if (const char* value = FlagValue(argc, argv, "--kind")) {
-    if (!ParseKind(value, &kind)) {
-      std::fprintf(stderr, "obs_query: unknown kind '%s'\n", value);
+  if (!options.kind.empty()) {
+    if (!ParseKind(options.kind, &kind)) {
+      std::fprintf(stderr, "obs_query: unknown kind '%s'\n", options.kind.c_str());
       return 2;
     }
     kind_set = true;
   }
-  int machine = -2;  // -2 = any (since -1 legitimately means cluster-wide).
-  if (const char* value = FlagValue(argc, argv, "--machine")) {
-    machine = std::atoi(value);
-  }
-  double from = -1e300;
-  double to = 1e300;
-  if (const char* value = FlagValue(argc, argv, "--from")) {
-    from = std::atof(value);
-  }
-  if (const char* value = FlagValue(argc, argv, "--to")) {
-    to = std::atof(value);
-  }
-  if (const char* value = FlagValue(argc, argv, "--before-first-kill")) {
+  double from = options.from;
+  double to = options.to;
+  if (options.before_first_kill.has_value()) {
     const double first_kill = recording.FirstKillTime();
     if (first_kill < 0.0) {
       std::printf("no BE kill in this recording\n");
       return 0;
     }
-    from = first_kill - std::atof(value);
+    from = first_kill - *options.before_first_kill;
     to = first_kill;
   }
-  long limit = -1;
-  if (const char* value = FlagValue(argc, argv, "--limit")) {
-    limit = std::atol(value);
-  }
 
-  long printed = 0;
+  int printed = 0;
   size_t matched = 0;
   for (const ObsEvent& event : recording.events) {
     if (kind_set && event.kind != kind) continue;
-    if (machine != -2 && event.machine != machine) continue;
+    if (options.machine != -2 && event.machine != options.machine) continue;
     if (event.time_s < from || event.time_s > to) continue;
     ++matched;
-    if (limit >= 0 && printed >= limit) continue;
+    if (options.limit >= 0 && printed >= options.limit) continue;
     ++printed;
     std::printf("%s\n", DescribeEvent(event).c_str());
   }
-  if (limit >= 0 && matched > static_cast<size_t>(printed)) {
+  if (options.limit >= 0 && matched > static_cast<size_t>(printed)) {
     std::printf("... %zu more (raise --limit)\n", matched - static_cast<size_t>(printed));
   }
   std::printf("%zu event(s) matched\n", matched);
   return 0;
 }
 
-int CmdTimeline(const Recording& recording, int argc, char** argv) {
+int CmdTimeline(const Recording& recording, const Options& options) {
   const TimeSeries* load = recording.Metric("load");
   const TimeSeries* slack = recording.Metric("slack");
   if (load == nullptr || slack == nullptr || load->empty()) {
@@ -178,10 +188,7 @@ int CmdTimeline(const Recording& recording, int argc, char** argv) {
   }
   const double t0 = load->points().front().time;
   const double t1 = load->points().back().time;
-  double step = (t1 - t0) / 40.0;
-  if (const char* value = FlagValue(argc, argv, "--step")) {
-    step = std::atof(value);
-  }
+  double step = options.step.value_or((t1 - t0) / 40.0);
   if (!(step > 0.0)) {
     step = 1.0;
   }
@@ -218,6 +225,20 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
+  if (command != "summary" && command != "events" && command != "timeline") {
+    return Usage();
+  }
+  Options options;
+  FlagParser flags(argc - 2, argv + 2);  // options follow the recording path.
+  while (flags.Next()) {
+    if ((command == "events" && MatchEventFlags(flags, &options)) ||
+        (command == "timeline" && MatchOptional(flags, "--step", &options.step))) {
+      continue;
+    }
+    std::fprintf(stderr, "obs_query: unknown or incomplete option '%s'\n",
+                 flags.arg().c_str());
+    return 2;
+  }
   Recording recording;
   try {
     recording = LoadJsonl(argv[2]);
@@ -229,10 +250,7 @@ int main(int argc, char** argv) {
     return CmdSummary(recording);
   }
   if (command == "events") {
-    return CmdEvents(recording, argc, argv);
+    return CmdEvents(recording, options);
   }
-  if (command == "timeline") {
-    return CmdTimeline(recording, argc, argv);
-  }
-  return Usage();
+  return CmdTimeline(recording, options);
 }
