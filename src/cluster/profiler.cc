@@ -2,7 +2,6 @@
 
 #include "src/cluster/deployment.h"
 #include "src/common/logging.h"
-#include "src/trace/event_log.h"
 #include "src/trace/sojourn_extractor.h"
 
 namespace rhythm {
@@ -26,9 +25,12 @@ ProfileResult ProfileSolo(LcAppKind app_kind, const std::vector<double>& levels,
   result.matrix.pod_sojourn_ms.assign(pods, {});
   result.pod_cov.assign(pods, {});
   result.matrix.load_levels = levels;
+  const TracerConfig tracer_config{.program_base = 100, .num_pods = pods};
 
   for (size_t level = 0; level < levels.size(); ++level) {
-    EventLog log;
+    // Folds the tracer's kernel events into per-pod sums as they are
+    // recorded; the events themselves are never kept.
+    MeanSojournSink sojourns(tracer_config);
     DeploymentConfig config;
     config.app_kind = app_kind;
     config.controller = ControllerKind::kNone;
@@ -37,7 +39,7 @@ ProfileResult ProfileSolo(LcAppKind app_kind, const std::vector<double>& levels,
     config.seed = options.seed + level * 1009;
     config.tail_window_s = options.measure_s;  // tail over the whole window.
     if (tracer) {
-      config.sink = &log;
+      config.sink = &sojourns;
       config.noise_events_per_request = options.noise_events_per_request;
     }
     Deployment deployment(config);
@@ -45,12 +47,11 @@ ProfileResult ProfileSolo(LcAppKind app_kind, const std::vector<double>& levels,
     deployment.Start(&profile);
     deployment.RunFor(options.warmup_s);
     deployment.service().ResetSojourns();
-    log.Clear();
+    sojourns.Reset();
     deployment.RunFor(options.measure_s);
 
     if (tracer) {
-      const TracerConfig tracer_config{.program_base = 100, .num_pods = pods};
-      const SojournSummary summary = ExtractMeanSojourns(log.events(), tracer_config);
+      const SojournSummary summary = sojourns.Summary();
       for (int pod = 0; pod < pods; ++pod) {
         result.matrix.pod_sojourn_ms[pod].push_back(summary.mean_sojourn_s[pod] * 1000.0);
       }

@@ -1,8 +1,11 @@
 // Solo-run profiler: the "profiling LC once" half of Rhythm's hybrid
-// strategy. Runs the LC service alone at a sweep of load levels, captures
-// kernel events through the request tracer (or reads the service's built-in
-// jaeger-style sojourns for SNMS), and produces the per-pod sojourn/CoV/tail
-// matrix the contribution analyzer and thresholding consume.
+// strategy. Runs the LC service alone at a sweep of load levels, folds the
+// request tracer's kernel events into per-pod mean sojourns as they are
+// emitted (a MeanSojournSink per level, so memory stays O(pods) and no trace
+// is buffered; SNMS's built-in jaeger-style sojourns are read directly), and
+// produces the per-pod sojourn/CoV/tail matrix the contribution analyzer and
+// thresholding consume. The result is bit-identical to buffering each
+// level's events and running ExtractMeanSojourns over them afterwards.
 
 #ifndef RHYTHM_SRC_CLUSTER_PROFILER_H_
 #define RHYTHM_SRC_CLUSTER_PROFILER_H_

@@ -1,13 +1,18 @@
 #include "src/serve/daemon.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "src/cluster/app_thresholds.h"
+#include "src/common/env.h"
 #include "src/common/json.h"
+#include "src/common/shard_pool.h"
 #include "src/place/cluster_engine.h"
 
 namespace rhythm {
@@ -98,10 +103,42 @@ RhythmDaemon::RhythmDaemon(DaemonOptions options)
 
 RhythmDaemon::~RhythmDaemon() { Stop(); }
 
-bool RhythmDaemon::Start(std::string* error) {
+void RhythmDaemon::Prewarm() {
+  std::vector<LcAppKind> apps;
   for (LcAppKind app : options_.prewarm) {
-    warm_.Get(app);
+    if (std::find(apps.begin(), apps.end(), app) == apps.end()) {
+      apps.push_back(app);
+    }
   }
+  if (apps.empty()) {
+    return;
+  }
+  // Apps characterize independently (CachedAppThresholds derives distinct
+  // apps concurrently and the store is mutex-guarded), so the store ends up
+  // with exactly the serial values. Shards claim apps in list order; the
+  // width never exceeds the app count or the machine's job count.
+  std::atomic<size_t> next{0};
+  std::vector<std::exception_ptr> errors(apps.size());
+  ShardPool pool(std::min(static_cast<int>(apps.size()), DefaultJobCount()));
+  pool.RunPhase([&](int) {
+    for (size_t i = next.fetch_add(1); i < apps.size(); i = next.fetch_add(1)) {
+      try {
+        warm_.Get(apps[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  });
+  // The first failure in list order, as the serial loop would have thrown.
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+}
+
+bool RhythmDaemon::Start(std::string* error) {
+  Prewarm();
 
   server_.Handle("GET", "/healthz",
                  Instrument("healthz", [](const HttpRequest&) {

@@ -85,6 +85,8 @@ struct DaemonOptions {
   std::string audit_dir;
   // Apps whose thresholds are derived (or disk-cache-loaded) before the
   // server opens its port, so first queries don't pay characterization.
+  // Distinct apps prewarm in parallel, on min(apps, DefaultJobCount())
+  // threads; duplicates are loaded once.
   std::vector<LcAppKind> prewarm;
 };
 
@@ -130,6 +132,10 @@ class RhythmDaemon {
   // Wraps `handler` with latency/outcome accounting under `endpoint`.
   HttpHandler Instrument(const std::string& endpoint,
                          HttpHandler handler);
+
+  // Loads options_.prewarm into warm_ concurrently; rethrows the failure
+  // of the earliest listed app, if any.
+  void Prewarm();
 
   HttpResponse HandleWhatIf(const HttpRequest& request);
   HttpResponse HandlePlacements(const HttpRequest& request);

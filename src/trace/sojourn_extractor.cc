@@ -22,41 +22,54 @@ int PodOfEvent(const KernelEvent& event, const TracerConfig& config) {
   return static_cast<int>(program - config.program_base);
 }
 
-SojournSummary ExtractMeanSojourns(std::span<const KernelEvent> events,
-                                   const TracerConfig& config) {
-  SojournSummary summary;
-  summary.mean_sojourn_s.assign(config.num_pods, 0.0);
-  summary.visits.assign(config.num_pods, 0);
-  std::vector<double> net_time(config.num_pods, 0.0);
+MeanSojournSink::MeanSojournSink(const TracerConfig& config) : config_(config) { Reset(); }
 
-  for (const KernelEvent& event : events) {
-    const int pod = PodOfEvent(event, config);
-    if (pod < 0) {
-      ++summary.noise_filtered;
-      continue;
-    }
-    if (IsInbound(event.type)) {
-      net_time[pod] -= event.timestamp;
-      // A visit begins when the pod's server port receives a request (as
-      // opposed to receiving a downstream reply on an ephemeral port).
-      if (event.message.receiver_port ==
-          static_cast<uint16_t>(config.server_port_base + pod)) {
-        ++summary.visits[pod];
-      }
-      if (event.type == EventType::kAccept && pod >= 0) {
-        ++summary.requests;
-      }
-    } else {
-      net_time[pod] += event.timestamp;
-    }
+void MeanSojournSink::Record(const KernelEvent& event) {
+  const int pod = PodOfEvent(event, config_);
+  if (pod < 0) {
+    ++sums_.noise_filtered;
+    return;
   }
-  for (int pod = 0; pod < config.num_pods; ++pod) {
+  if (IsInbound(event.type)) {
+    net_time_[pod] -= event.timestamp;
+    // A visit begins when the pod's server port receives a request (as
+    // opposed to receiving a downstream reply on an ephemeral port).
+    if (event.message.receiver_port ==
+        static_cast<uint16_t>(config_.server_port_base + pod)) {
+      ++sums_.visits[pod];
+    }
+    if (event.type == EventType::kAccept) {
+      ++sums_.requests;
+    }
+  } else {
+    net_time_[pod] += event.timestamp;
+  }
+}
+
+void MeanSojournSink::Reset() {
+  sums_ = SojournSummary{};
+  sums_.mean_sojourn_s.assign(config_.num_pods, 0.0);
+  sums_.visits.assign(config_.num_pods, 0);
+  net_time_.assign(config_.num_pods, 0.0);
+}
+
+SojournSummary MeanSojournSink::Summary() const {
+  SojournSummary summary = sums_;
+  for (int pod = 0; pod < config_.num_pods; ++pod) {
     if (summary.visits[pod] > 0) {
-      summary.mean_sojourn_s[pod] =
-          net_time[pod] / static_cast<double>(summary.visits[pod]);
+      summary.mean_sojourn_s[pod] = net_time_[pod] / static_cast<double>(summary.visits[pod]);
     }
   }
   return summary;
+}
+
+SojournSummary ExtractMeanSojourns(std::span<const KernelEvent> events,
+                                   const TracerConfig& config) {
+  MeanSojournSink sink(config);
+  for (const KernelEvent& event : events) {
+    sink.Record(event);
+  }
+  return sink.Summary();
 }
 
 std::vector<std::vector<double>> ExtractPairedSojourns(std::span<const KernelEvent> events,

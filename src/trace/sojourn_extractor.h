@@ -7,7 +7,9 @@
 // outbound timestamps minus the sum of inbound timestamps per pod is
 // invariant under any pairing permutation — which is exactly why the paper's
 // contribution analyzer consumes mean sojourn times (Equations 1-3). The
-// aggregate extractor below computes that invariant directly.
+// aggregate extractor below computes that invariant directly, and because
+// it only keeps per-pod sums it can run as the capture sink itself: the
+// profiler folds each event in as it is recorded and never buffers a trace.
 
 #ifndef RHYTHM_SRC_TRACE_SOJOURN_EXTRACTOR_H_
 #define RHYTHM_SRC_TRACE_SOJOURN_EXTRACTOR_H_
@@ -42,8 +44,28 @@ struct SojournSummary {
   uint64_t noise_filtered = 0;
 };
 
-// Aggregate, pairing-mismatch-immune extraction: per pod,
+// Aggregate, pairing-mismatch-immune extraction as a streaming sink: each
+// Record() adds one event to the per-pod sums, and Summary() divides them,
 //   mean = (sum outbound timestamps - sum inbound timestamps) / visits.
+// Memory is O(pods) however long the capture runs.
+class MeanSojournSink : public EventSink {
+ public:
+  explicit MeanSojournSink(const TracerConfig& config);
+
+  void Record(const KernelEvent& event) override;
+  // Forgets every event recorded so far (e.g. the end of a warm-up).
+  void Reset();
+  // The summary of the events recorded since construction or Reset().
+  SojournSummary Summary() const;
+
+ private:
+  TracerConfig config_;
+  SojournSummary sums_;           // mean_sojourn_s stays zero until Summary().
+  std::vector<double> net_time_;  // sum outbound - sum inbound, per pod.
+};
+
+// The same extraction over a buffered trace: the events fed through a
+// MeanSojournSink in order.
 SojournSummary ExtractMeanSojourns(std::span<const KernelEvent> events,
                                    const TracerConfig& config);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/deployment.h"
+#include "src/trace/event_log.h"
+#include "src/trace/sojourn_extractor.h"
 #include "src/workload/component.h"
 
 namespace rhythm {
@@ -76,6 +79,62 @@ TEST(ProfilerTest, TracerAndDirectAgree) {
     EXPECT_NEAR(traced.matrix.pod_sojourn_ms[pod][0], direct.matrix.pod_sojourn_ms[pod][0],
                 direct.matrix.pod_sojourn_ms[pod][0] * 0.03 + 0.1);
   }
+}
+
+// The profile as it was taken before the tracer's events were folded into a
+// sink while they are emitted: buffer each level's measured events in an
+// EventLog and extract the mean sojourns from the whole log afterwards.
+ProfileResult BufferedProfile(LcAppKind app_kind, const std::vector<double>& levels,
+                              const ProfileOptions& options) {
+  ProfileResult result;
+  result.levels = levels;
+  const int pods = MakeApp(app_kind).pod_count();
+  result.matrix.pod_sojourn_ms.assign(pods, {});
+  result.pod_cov.assign(pods, {});
+  result.matrix.load_levels = levels;
+  for (size_t level = 0; level < levels.size(); ++level) {
+    EventLog log;
+    DeploymentConfig config;
+    config.app_kind = app_kind;
+    config.controller = ControllerKind::kNone;
+    config.enable_be = false;
+    config.record_sojourns = true;
+    config.seed = options.seed + level * 1009;
+    config.tail_window_s = options.measure_s;
+    config.sink = &log;
+    config.noise_events_per_request = options.noise_events_per_request;
+    Deployment deployment(config);
+    const ConstantLoad profile(levels[level]);
+    deployment.Start(&profile);
+    deployment.RunFor(options.warmup_s);
+    deployment.service().ResetSojourns();
+    log.Clear();
+    deployment.RunFor(options.measure_s);
+    const SojournSummary summary =
+        ExtractMeanSojourns(log.events(), TracerConfig{.program_base = 100, .num_pods = pods});
+    for (int pod = 0; pod < pods; ++pod) {
+      result.matrix.pod_sojourn_ms[pod].push_back(summary.mean_sojourn_s[pod] * 1000.0);
+      result.pod_cov[pod].push_back(deployment.service().PodSojournStats(pod).cov());
+    }
+    result.matrix.tail_ms.push_back(deployment.service().TailLatencyMs());
+    result.requests_profiled += deployment.service().completed_requests();
+  }
+  return result;
+}
+
+TEST(ProfilerTest, StreamingMatchesBufferedCapture) {
+  // The sink stays attached exactly where the log was, so the service draws
+  // the same message and noise randoms and every number is unchanged — no
+  // tolerance.
+  const std::vector<double> levels = {0.3, 0.85};
+  const ProfileResult streamed = ProfileSolo(LcAppKind::kEcommerce, levels, FastOptions());
+  const ProfileResult buffered = BufferedProfile(LcAppKind::kEcommerce, levels, FastOptions());
+  EXPECT_EQ(streamed.levels, buffered.levels);
+  EXPECT_EQ(streamed.matrix.load_levels, buffered.matrix.load_levels);
+  EXPECT_EQ(streamed.matrix.pod_sojourn_ms, buffered.matrix.pod_sojourn_ms);
+  EXPECT_EQ(streamed.matrix.tail_ms, buffered.matrix.tail_ms);
+  EXPECT_EQ(streamed.pod_cov, buffered.pod_cov);
+  EXPECT_EQ(streamed.requests_profiled, buffered.requests_profiled);
 }
 
 TEST(ProfilerTest, BuiltinTracingAppSkipsTracer) {

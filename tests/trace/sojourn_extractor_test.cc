@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <vector>
+
+#include "src/common/rng.h"
 
 namespace rhythm {
 namespace {
@@ -153,6 +158,147 @@ TEST(ExtractMeanSojournsTest, EmptyInput) {
   EXPECT_EQ(summary.requests, 0u);
   EXPECT_EQ(summary.mean_sojourn_s[0], 0.0);
   EXPECT_EQ(summary.mean_sojourn_s[1], 0.0);
+}
+
+// -- MeanSojournSink against the buffered extraction --------------------------
+
+// The extraction loop as it ran over a whole buffered capture before the
+// profiler streamed events into a sink; the sink must reproduce it bit for
+// bit (same sums, added in the same order).
+SojournSummary BufferedMeanSojourns(std::span<const KernelEvent> events,
+                                    const TracerConfig& config) {
+  SojournSummary summary;
+  summary.mean_sojourn_s.assign(config.num_pods, 0.0);
+  summary.visits.assign(config.num_pods, 0);
+  std::vector<double> net_time(config.num_pods, 0.0);
+  for (const KernelEvent& event : events) {
+    const int pod = PodOfEvent(event, config);
+    if (pod < 0) {
+      ++summary.noise_filtered;
+      continue;
+    }
+    if (event.type == EventType::kAccept || event.type == EventType::kRecv) {
+      net_time[pod] -= event.timestamp;
+      if (event.message.receiver_port ==
+          static_cast<uint16_t>(config.server_port_base + pod)) {
+        ++summary.visits[pod];
+      }
+      if (event.type == EventType::kAccept) {
+        ++summary.requests;
+      }
+    } else {
+      net_time[pod] += event.timestamp;
+    }
+  }
+  for (int pod = 0; pod < config.num_pods; ++pod) {
+    if (summary.visits[pod] > 0) {
+      summary.mean_sojourn_s[pod] = net_time[pod] / static_cast<double>(summary.visits[pod]);
+    }
+  }
+  return summary;
+}
+
+// A seeded stream mixing LC programs with noise programs below and above the
+// LC range, all four event types, and inbound messages landing on the pod's
+// server port, another pod's server port or an ephemeral port.
+std::vector<KernelEvent> RandomEvents(uint64_t seed, const TracerConfig& config, int count) {
+  Rng rng(seed);
+  std::vector<KernelEvent> events;
+  events.reserve(count);
+  double t = rng.Uniform(0.0, 1000.0);
+  for (int i = 0; i < count; ++i) {
+    KernelEvent event;
+    event.type = static_cast<EventType>(rng.UniformInt(4));
+    t += rng.Exponential(0.001);
+    // Now and then out of timestamp order, as merged per-host captures are.
+    event.timestamp = rng.UniformInt(8) == 0 ? t - rng.Uniform(0.0, 0.5) : t;
+    const uint64_t program = rng.UniformInt(config.num_pods + 6);
+    if (program < 3) {
+      event.context.program = config.program_base - 1 - static_cast<uint32_t>(program);
+    } else if (program < 6) {
+      event.context.program = config.program_base + static_cast<uint32_t>(config.num_pods) +
+                              static_cast<uint32_t>(program - 3);
+    } else {
+      event.context.program = config.program_base + static_cast<uint32_t>(program - 6);
+    }
+    event.context.thread_id = static_cast<uint32_t>(rng.UniformInt(4));
+    const uint64_t port = rng.UniformInt(3);
+    const int pod = static_cast<int>(event.context.program - config.program_base);
+    if (port == 0 && pod >= 0 && pod < config.num_pods) {
+      event.message.receiver_port = static_cast<uint16_t>(config.server_port_base + pod);
+    } else if (port == 1) {
+      event.message.receiver_port = static_cast<uint16_t>(
+          config.server_port_base + static_cast<int>(rng.UniformInt(config.num_pods)));
+    } else {
+      event.message.receiver_port = static_cast<uint16_t>(32768 + rng.UniformInt(28000));
+    }
+    event.message.sender_port = static_cast<uint16_t>(32768 + rng.UniformInt(28000));
+    event.message.message_size = static_cast<uint32_t>(rng.UniformInt(4096));
+    events.push_back(event);
+  }
+  return events;
+}
+
+void ExpectBitIdentical(const SojournSummary& actual, const SojournSummary& expected) {
+  ASSERT_EQ(actual.mean_sojourn_s.size(), expected.mean_sojourn_s.size());
+  for (size_t pod = 0; pod < expected.mean_sojourn_s.size(); ++pod) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual.mean_sojourn_s[pod]),
+              std::bit_cast<uint64_t>(expected.mean_sojourn_s[pod]))
+        << "pod " << pod << ": " << actual.mean_sojourn_s[pod] << " vs "
+        << expected.mean_sojourn_s[pod];
+  }
+  EXPECT_EQ(actual.visits, expected.visits);
+  EXPECT_EQ(actual.requests, expected.requests);
+  EXPECT_EQ(actual.noise_filtered, expected.noise_filtered);
+}
+
+TEST(MeanSojournSinkTest, MatchesBufferedExtractionAcrossAReset) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    const TracerConfig config{.program_base = static_cast<uint32_t>(100 + 50 * (seed % 3)),
+                              .num_pods = 1 + static_cast<int>(seed % 6),
+                              .server_port_base = static_cast<uint16_t>(seed % 2 ? 8000 : 9100)};
+    const std::vector<KernelEvent> events = RandomEvents(seed, config, 2000);
+    const size_t reset_at = static_cast<size_t>(seed * 37 % events.size());
+
+    MeanSojournSink sink(config);
+    for (size_t i = 0; i < reset_at; ++i) {
+      sink.Record(events[i]);
+    }
+    sink.Reset();
+    for (size_t i = reset_at; i < events.size(); ++i) {
+      sink.Record(events[i]);
+    }
+    const std::span<const KernelEvent> after_reset(events.data() + reset_at,
+                                                   events.size() - reset_at);
+    const SojournSummary expected = BufferedMeanSojourns(after_reset, config);
+    ExpectBitIdentical(sink.Summary(), expected);
+    ExpectBitIdentical(ExtractMeanSojourns(after_reset, config), expected);
+  }
+}
+
+TEST(MeanSojournSinkTest, SummaryDoesNotDisturbTheSums) {
+  const TracerConfig config = Config(3);
+  const std::vector<KernelEvent> events = RandomEvents(99, config, 500);
+  MeanSojournSink sink(config);
+  for (size_t i = 0; i < events.size(); ++i) {
+    sink.Record(events[i]);
+    if (i % 50 == 0) {
+      ExpectBitIdentical(sink.Summary(), BufferedMeanSojourns(
+                                             std::span(events.data(), i + 1), config));
+    }
+  }
+  ExpectBitIdentical(sink.Summary(), BufferedMeanSojourns(events, config));
+}
+
+TEST(MeanSojournSinkTest, ResetForgetsEverything) {
+  const TracerConfig config = Config(2);
+  MeanSojournSink sink(config);
+  for (const KernelEvent& event : RandomEvents(5, config, 300)) {
+    sink.Record(event);
+  }
+  sink.Reset();
+  ExpectBitIdentical(sink.Summary(), BufferedMeanSojourns({}, config));
 }
 
 }  // namespace

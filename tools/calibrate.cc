@@ -10,12 +10,17 @@
 //   compare       Heracles vs Rhythm on E-commerce + wordcount at the given
 //                 load (default 0.45; the paper's stress point is 0.85)
 //   all           everything above
+//
+// `load` is read exactly ("abc" or "0.5x" is an error) and must be a finite,
+// non-negative fraction; a malformed argument prints the usage line and
+// exits 2.
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "src/common/parse_exact.h"
 #include "src/rhythm.h"
 
 using namespace rhythm;
@@ -144,11 +149,14 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  if (argc < 2 || argc > 3) {
     return Usage();
   }
   const std::string command = argv[1];
-  const double load = argc > 2 ? std::atof(argv[2]) : 0.45;
+  double load = 0.45;
+  if (argc > 2 && !(ParseExact(argv[2], &load) && std::isfinite(load) && load >= 0.0)) {
+    return Usage();
+  }
   if (command == "solo") {
     CmdSolo();
   } else if (command == "interference") {

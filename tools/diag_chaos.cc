@@ -15,29 +15,45 @@
 //
 // Usage: diag_chaos [load] [inflation] [down_s]
 //
-// An error (e.g. an unwritable RHYTHM_OBS_DIR) prints `diag_chaos: <what>`
-// to stderr and exits 2.
+// Numbers are read exactly ("abc" or "0.5x" is an error). A malformed
+// number, a negative load, an inflation outside [0, kMaxCrashInflation] or
+// a non-positive down_s prints the usage line and exits 2. An error (e.g.
+// an unwritable RHYTHM_OBS_DIR) prints `diag_chaos: <what>` to stderr and
+// also exits 2.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <string>
 
+#include "src/common/parse_exact.h"
 #include "src/rhythm.h"
 
 using namespace rhythm;
 
 namespace {
 
+int Usage() {
+  std::fprintf(stderr, "usage: diag_chaos [load] [inflation] [down_s]\n");
+  return 2;
+}
+
+// Reads argv[index] into *out when present; false when it is malformed or
+// non-finite.
+bool OptionalNumber(int argc, char** argv, int index, double* out) {
+  return index >= argc || (ParseExact(argv[index], out) && std::isfinite(*out));
+}
+
 int ChaosMain(int argc, char** argv) {
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.6;
-  double inflation = argc > 2 ? std::atof(argv[2]) : 0.5;
-  double down_s = argc > 3 ? std::atof(argv[3]) : 60.0;
-  // Garbage argv parses to 0 (atof); a zero-length crash window or an
-  // out-of-range inflation is rejected by fault validation, so fall back to
-  // legal values instead of aborting.
-  if (!(down_s > 0.0)) down_s = 60.0;
-  if (!(inflation >= 0.0 && inflation <= kMaxCrashInflation)) inflation = 0.5;
+  double load = 0.6;
+  double inflation = 0.5;
+  double down_s = 60.0;
+  if (argc > 4 || !OptionalNumber(argc, argv, 1, &load) ||
+      !OptionalNumber(argc, argv, 2, &inflation) || !OptionalNumber(argc, argv, 3, &down_s) ||
+      load < 0.0 || inflation < 0.0 || inflation > kMaxCrashInflation || down_s <= 0.0) {
+    return Usage();
+  }
 
   const LcAppKind app_kind = LcAppKind::kEcommerce;
   const AppSpec app = MakeApp(app_kind);

@@ -5,24 +5,38 @@
 //
 // Demonstrates the archival workflow: traces written by `capture` are plain
 // versioned CSV (see src/trace/trace_io.h) and can be analyzed offline.
+//
+// `seconds` must be a positive number (read exactly: "abc" or "0.5x" is an
+// error) and `app` a catalog name such as E-commerce or Redis. A malformed
+// argument prints the usage line and exits 2; an unreadable or unwritable
+// trace file exits 1.
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "src/common/parse_exact.h"
 #include "src/rhythm.h"
 
 using namespace rhythm;
 
 namespace {
 
-LcAppKind ParseApp(const char* name) {
+int Usage() {
+  std::fprintf(stderr,
+               "usage:\n  tracedump capture <file> [seconds] [app]\n"
+               "  tracedump stats <file>\n");
+  return 2;
+}
+
+bool ParseApp(const char* name, LcAppKind* out) {
   for (LcAppKind kind : AllLcAppKinds()) {
     if (std::strcmp(name, LcAppKindName(kind)) == 0) {
-      return kind;
+      *out = kind;
+      return true;
     }
   }
-  return LcAppKind::kEcommerce;
+  return false;
 }
 
 int Capture(const char* path, double seconds, LcAppKind kind) {
@@ -86,16 +100,19 @@ int Stats(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 3 && std::strcmp(argv[1], "capture") == 0) {
-    const double seconds = argc > 3 ? std::atof(argv[3]) : 5.0;
-    const LcAppKind app = argc > 4 ? ParseApp(argv[4]) : LcAppKind::kEcommerce;
+  if (argc >= 3 && argc <= 5 && std::strcmp(argv[1], "capture") == 0) {
+    double seconds = 5.0;
+    LcAppKind app = LcAppKind::kEcommerce;
+    if (argc > 3 && !(ParseExact(argv[3], &seconds) && std::isfinite(seconds) && seconds > 0.0)) {
+      return Usage();
+    }
+    if (argc > 4 && !ParseApp(argv[4], &app)) {
+      return Usage();
+    }
     return Capture(argv[2], seconds, app);
   }
-  if (argc >= 3 && std::strcmp(argv[1], "stats") == 0) {
+  if (argc == 3 && std::strcmp(argv[1], "stats") == 0) {
     return Stats(argv[2]);
   }
-  std::fprintf(stderr,
-               "usage:\n  tracedump capture <file> [seconds] [app]\n"
-               "  tracedump stats <file>\n");
-  return 2;
+  return Usage();
 }
