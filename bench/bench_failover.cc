@@ -64,23 +64,23 @@ SideResult RunSide(ClusterRunRequest request, bool supervisor_on) {
   return result;
 }
 
-void WriteSide(BenchJson& json, const char* key, const SideResult& side) {
+void WriteSide(JsonWriter& json, const char* key, const SideResult& side) {
   const ClusterSummary& s = side.summary;
-  json.BeginObject(key)
-      .Field("emu", s.emu)
-      .Field("slo_violation_rate", s.slo_violation_rate)
-      .Field("be_throughput", s.be_throughput)
-      .Field("lc_throughput", s.lc_throughput)
-      .Field("down_group_seconds", s.down_group_seconds)
-      .Field("machines_failed", s.machines_failed)
-      .Field("machines_down_end", s.machines_down_end)
-      .Field("groups_disrupted", s.groups_disrupted)
-      .Field("groups_failed_over", s.groups_failed_over)
-      .Field("groups_lost", s.groups_lost)
-      .Field("pods_migrated", s.pods_migrated)
-      .Field("worst_failover_latency_s", s.worst_failover_latency_s)
-      .Field("degraded_barriers", s.degraded_barriers)
-      .Field("wall_s", side.wall_s)
+  json.Key(key).BeginObject()
+      .Key("emu").Number(s.emu)
+      .Key("slo_violation_rate").Number(s.slo_violation_rate)
+      .Key("be_throughput").Number(s.be_throughput)
+      .Key("lc_throughput").Number(s.lc_throughput)
+      .Key("down_group_seconds").Number(s.down_group_seconds)
+      .Key("machines_failed").Int(s.machines_failed)
+      .Key("machines_down_end").Int(s.machines_down_end)
+      .Key("groups_disrupted").Int(s.groups_disrupted)
+      .Key("groups_failed_over").Int(s.groups_failed_over)
+      .Key("groups_lost").Int(s.groups_lost)
+      .Key("pods_migrated").Int(s.pods_migrated)
+      .Key("worst_failover_latency_s").Number(s.worst_failover_latency_s)
+      .Key("degraded_barriers").Int(s.degraded_barriers)
+      .Key("wall_s").Number(side.wall_s)
       .EndObject();
 }
 
@@ -122,20 +122,20 @@ int main(int argc, char** argv) {
   base.measure_s = measure_s;
   base.epochs = epochs;
 
-  BenchJson json;
-  json.Field("bench", "failover");
-  json.Field("fast_mode", static_cast<uint64_t>(FastMode() ? 1 : 0));
-  json.Field("host_cores",
-             static_cast<uint64_t>(std::thread::hardware_concurrency()));
-  json.BeginObject("cluster")
-      .Field("machines", base.spec.machines)
-      .Field("groups", base.spec.TotalGroups())
-      .Field("pods", base.spec.TotalPods())
-      .Field("epochs", epochs)
-      .Field("warmup_s", warmup_s)
-      .Field("measure_s", measure_s)
-      .Field("loss_at_s", loss_at_s)
-      .Field("seed", static_cast<uint64_t>(11))
+  JsonWriter json;
+  json.BeginObject()
+      .Key("bench").String("failover")
+      .Key("fast_mode").Int(FastMode() ? 1 : 0)
+      .Key("host_cores").UInt(std::thread::hardware_concurrency());
+  json.Key("cluster").BeginObject()
+      .Key("machines").Int(base.spec.machines)
+      .Key("groups").Int(base.spec.TotalGroups())
+      .Key("pods").Int(base.spec.TotalPods())
+      .Key("epochs").Int(epochs)
+      .Key("warmup_s").Number(warmup_s)
+      .Key("measure_s").Number(measure_s)
+      .Key("loss_at_s").Number(loss_at_s)
+      .Key("seed").Int(11)
       .EndObject();
 
   std::printf("cluster: %d machines, %d groups, %d pods, loss at t=%g s\n",
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
               "down_group_s", "emu", "failov", "wall_s");
 
   int assertion_failures = 0;
-  json.BeginObject("loss_sweep");
+  json.Key("loss_sweep").BeginObject();
   for (const int lost : loss_counts) {
     ClusterRunRequest request = base;
     if (lost > 0) {
@@ -161,18 +161,17 @@ int main(int argc, char** argv) {
                 on.summary.down_group_seconds, on.summary.emu,
                 on.summary.groups_failed_over, on.wall_s);
 
-    json.BeginObject(std::to_string(lost));
-    json.Field("machines_lost", lost);
+    json.Key(std::to_string(lost)).BeginObject().Key("machines_lost").Int(lost);
     WriteSide(json, "supervisor_off", off);
     WriteSide(json, "supervisor_on", on);
-    json.BeginObject("improvement")
-        .Field("down_group_seconds_saved",
-               off.summary.down_group_seconds - on.summary.down_group_seconds)
-        .Field("emu_delta", on.summary.emu - off.summary.emu)
-        .Field("be_throughput_delta",
-               on.summary.be_throughput - off.summary.be_throughput)
+    json.Key("improvement").BeginObject()
+        .Key("down_group_seconds_saved")
+        .Number(off.summary.down_group_seconds - on.summary.down_group_seconds)
+        .Key("emu_delta").Number(on.summary.emu - off.summary.emu)
+        .Key("be_throughput_delta")
+        .Number(on.summary.be_throughput - off.summary.be_throughput)
+        .EndObject()
         .EndObject();
-    json.EndObject();
 
     if (lost == 0) {
       // Control point: with nothing scheduled the supervisor must be
@@ -211,9 +210,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  json.EndObject();
+  json.EndObject().EndObject();
 
-  if (!json.WriteFile(out_path)) {
+  if (!WriteFile(out_path, std::move(json).str() + "\n")) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
     return 1;
   }

@@ -90,7 +90,7 @@ TrialResult RunRepresentativeTrial(double measure_s) {
   return result;
 }
 
-void BenchEndToEnd(BenchJson& json) {
+void BenchEndToEnd(JsonWriter& json) {
   const double measure_s = FastMode() ? 20.0 : 60.0;
   const int reps = 3;
   TrialResult best;
@@ -100,25 +100,25 @@ void BenchEndToEnd(BenchJson& json) {
       best = r;
     }
   }
-  json.BeginObject("end_to_end")
-      .Field("trial", "ecommerce+wordcount, Rhythm controller, load 0.7, seed 37")
-      .Field("warmup_s", 20.0)
-      .Field("measure_s", measure_s)
-      .Field("repetitions", reps)
-      .Field("wall_s_best", best.wall_s)
-      .Field("executed_events", best.events)
-      .Field("completed_requests", best.requests)
-      .Field("events_per_s", static_cast<double>(best.events) / best.wall_s)
-      .Field("requests_per_s", static_cast<double>(best.requests) / best.wall_s)
-      .Field("sla_violations", best.sla_violations)
-      .Field("worst_tail_ms", best.worst_tail_ms)
+  json.Key("end_to_end").BeginObject()
+      .Key("trial").String("ecommerce+wordcount, Rhythm controller, load 0.7, seed 37")
+      .Key("warmup_s").Number(20.0)
+      .Key("measure_s").Number(measure_s)
+      .Key("repetitions").Int(reps)
+      .Key("wall_s_best").Number(best.wall_s)
+      .Key("executed_events").UInt(best.events)
+      .Key("completed_requests").UInt(best.requests)
+      .Key("events_per_s").Number(static_cast<double>(best.events) / best.wall_s)
+      .Key("requests_per_s").Number(static_cast<double>(best.requests) / best.wall_s)
+      .Key("sla_violations").UInt(best.sla_violations)
+      .Key("worst_tail_ms").Number(best.worst_tail_ms)
       .EndObject();
   std::printf("end_to_end: %.3fs wall, %.2fM events/s, %.0fk requests/s\n", best.wall_s,
               static_cast<double>(best.events) / best.wall_s / 1e6,
               static_cast<double>(best.requests) / best.wall_s / 1e3);
 }
 
-void BenchEventEngine(BenchJson& json) {
+void BenchEventEngine(JsonWriter& json) {
   Simulator sim;
   uint64_t sink = 0;
   constexpr int kEvents = 2000000;
@@ -144,12 +144,12 @@ void BenchEventEngine(BenchJson& json) {
   const double rearm_s = SecondsSince(t1);
   const uint64_t heap_allocs = InlineFunction::heap_allocations();
 
-  json.BeginObject("event_engine")
-      .Field("dispatch_events", static_cast<uint64_t>(kEvents))
-      .Field("dispatch_ns_per_event", dispatch_s / kEvents * 1e9)
-      .Field("periodic_firings", ticks)
-      .Field("periodic_ns_per_firing", rearm_s / static_cast<double>(ticks) * 1e9)
-      .Field("inline_function_heap_allocations", heap_allocs)
+  json.Key("event_engine").BeginObject()
+      .Key("dispatch_events").Int(kEvents)
+      .Key("dispatch_ns_per_event").Number(dispatch_s / kEvents * 1e9)
+      .Key("periodic_firings").UInt(ticks)
+      .Key("periodic_ns_per_firing").Number(rearm_s / static_cast<double>(ticks) * 1e9)
+      .Key("inline_function_heap_allocations").UInt(heap_allocs)
       .EndObject();
   std::printf("event_engine: %.1f ns/dispatch, %.1f ns/periodic firing, %llu heap allocs\n",
               dispatch_s / kEvents * 1e9, rearm_s / static_cast<double>(ticks) * 1e9,
@@ -160,7 +160,7 @@ void BenchEventEngine(BenchJson& json) {
   }
 }
 
-void BenchTailWindow(BenchJson& json) {
+void BenchTailWindow(JsonWriter& json) {
   // Realistic control-plane mix: a 6 s window at ~1.2k adds per simulated
   // second, with the accounting tick, controller tick and telemetry reads
   // querying the 99th percentile several times per simulated second.
@@ -185,13 +185,13 @@ void BenchTailWindow(BenchJson& json) {
   const auto& stats = window.query_stats();
   const uint64_t ops =
       static_cast<uint64_t>(kSeconds) * (kAddsPerSecond + kQueriesPerSecond);
-  json.BeginObject("tail_window")
-      .Field("window_s", window.window_seconds())
-      .Field("adds", static_cast<uint64_t>(kSeconds) * kAddsPerSecond)
-      .Field("queries", stats.queries)
-      .Field("memo_hits", stats.memo_hits)
-      .Field("ns_per_op", total_s / static_cast<double>(ops) * 1e9)
-      .Field("window_samples_at_end", static_cast<uint64_t>(window.size()))
+  json.Key("tail_window").BeginObject()
+      .Key("window_s").Number(window.window_seconds())
+      .Key("adds").UInt(static_cast<uint64_t>(kSeconds) * kAddsPerSecond)
+      .Key("queries").UInt(stats.queries)
+      .Key("memo_hits").UInt(stats.memo_hits)
+      .Key("ns_per_op").Number(total_s / static_cast<double>(ops) * 1e9)
+      .Key("window_samples_at_end").UInt(window.size())
       .EndObject();
   std::printf("tail_window: %.1f ns/op, %llu/%llu memo hits (n=%zu), checksum %.3f\n",
               total_s / static_cast<double>(ops) * 1e9,
@@ -201,20 +201,22 @@ void BenchTailWindow(BenchJson& json) {
 
 int Main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
-  BenchJson json;
-  json.Field("bench", "hotpath");
-  json.Field("fast_mode", static_cast<uint64_t>(FastMode() ? 1 : 0));
-  json.BeginObject("machine")
-      .Field("cpu", CpuModel())
-      .Field("hardware_threads", static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Field("build", BENCH_BUILD_TYPE)
+  JsonWriter json;
+  json.BeginObject()
+      .Key("bench").String("hotpath")
+      .Key("fast_mode").Int(FastMode() ? 1 : 0);
+  json.Key("machine").BeginObject()
+      .Key("cpu").String(CpuModel())
+      .Key("hardware_threads").UInt(std::thread::hardware_concurrency())
+      .Key("build").String(BENCH_BUILD_TYPE)
       .EndObject();
 
   BenchEndToEnd(json);
   BenchEventEngine(json);
   BenchTailWindow(json);
+  json.EndObject();
 
-  if (!json.WriteFile(out_path)) {
+  if (!WriteFile(out_path, std::move(json).str() + "\n")) {
     std::fprintf(stderr, "FAIL: could not write %s\n", out_path.c_str());
     return 1;
   }

@@ -109,25 +109,25 @@ SweepResult RunSweep(int port, int clients, int per_client,
   return result;
 }
 
-void WriteSweep(BenchJson& json, const std::string& key, int clients,
+void WriteSweep(JsonWriter& json, const std::string& key, int clients,
                 const SweepResult& sweep) {
-  json.BeginObject(key)
-      .Field("clients", clients)
-      .Field("requests", sweep.requests)
-      .Field("transport_failures", sweep.transport_failures)
-      .Field("body_mismatches", sweep.body_mismatches)
-      .Field("identical_bodies", sweep.body_mismatches == 0 ? 1 : 0)
-      .Field("wall_s", sweep.wall_s)
-      .Field("throughput_qps",
-             sweep.wall_s > 0.0
-                 ? static_cast<double>(sweep.requests) / sweep.wall_s
-                 : 0.0)
-      .Field("p50_ms", Percentile(sweep.latencies_ms, 0.50))
-      .Field("p95_ms", Percentile(sweep.latencies_ms, 0.95))
-      .Field("p99_ms", Percentile(sweep.latencies_ms, 0.99))
-      .Field("max_ms", sweep.latencies_ms.empty()
-                           ? 0.0
-                           : sweep.latencies_ms.back())
+  json.Key(key).BeginObject()
+      .Key("clients").Int(clients)
+      .Key("requests").UInt(sweep.requests)
+      .Key("transport_failures").UInt(sweep.transport_failures)
+      .Key("body_mismatches").UInt(sweep.body_mismatches)
+      .Key("identical_bodies").Int(sweep.body_mismatches == 0 ? 1 : 0)
+      .Key("wall_s").Number(sweep.wall_s)
+      .Key("throughput_qps")
+      .Number(sweep.wall_s > 0.0
+                  ? static_cast<double>(sweep.requests) / sweep.wall_s
+                  : 0.0)
+      .Key("p50_ms").Number(Percentile(sweep.latencies_ms, 0.50))
+      .Key("p95_ms").Number(Percentile(sweep.latencies_ms, 0.95))
+      .Key("p99_ms").Number(Percentile(sweep.latencies_ms, 0.99))
+      .Key("max_ms").Number(sweep.latencies_ms.empty()
+                                ? 0.0
+                                : sweep.latencies_ms.back())
       .EndObject();
 }
 
@@ -239,23 +239,24 @@ int main(int argc, char** argv) {
   const uint64_t served = daemon.server().requests_served();
   daemon.Stop();
 
-  BenchJson json;
-  json.Field("bench", "serve")
-      .Field("fast_mode", fast ? 1 : 0)
-      .Field("host_cores",
-             static_cast<int>(std::thread::hardware_concurrency()));
-  json.BeginObject("server")
-      .Field("threads", options.server.threads)
-      .Field("queue_depth", options.server.queue_depth)
-      .Field("connections_accepted", connections)
-      .Field("requests_served", served)
+  JsonWriter json;
+  json.BeginObject()
+      .Key("bench").String("serve")
+      .Key("fast_mode").Int(fast ? 1 : 0)
+      .Key("host_cores").UInt(std::thread::hardware_concurrency());
+  json.Key("server").BeginObject()
+      .Key("threads").Int(options.server.threads)
+      .Key("queue_depth").Int(options.server.queue_depth)
+      .Key("connections_accepted").UInt(connections)
+      .Key("requests_served").UInt(served)
       .EndObject();
   WriteSweep(json, "healthz", clients, healthz);
   WriteSweep(json, "whatif_trial", clients, whatif);
   WriteSweep(json, "whatif_cluster", clients, cluster);
   WriteSweep(json, "placements", clients, placements);
+  json.EndObject();
 
-  if (!json.WriteFile(out_path)) {
+  if (!WriteFile(out_path, std::move(json).str() + "\n")) {
     std::fprintf(stderr, "bench_serve: cannot write %s\n", out_path.c_str());
     return 1;
   }

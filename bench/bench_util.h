@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "src/common/env.h"
+#include "src/common/file_io.h"
+#include "src/common/json.h"
 #include "src/rhythm.h"
 
 namespace rhythm_bench {
@@ -97,93 +99,6 @@ inline RunSummary GridRun(LcAppKind app, BeJobKind be, ControllerKind controller
 inline std::vector<RunSummary> RunMany(const RunPlan& plan) {
   return ParallelRunner().RunAll(plan);
 }
-
-// Minimal ordered-JSON emitter for benchmark artifacts (BENCH_*.json): an
-// object tree built with Begin/End calls, numbers printed with %.17g so
-// doubles round-trip. No external dependency, deliberately write-only.
-class BenchJson {
- public:
-  BenchJson() { out_ += "{"; }
-
-  BenchJson& BeginObject(const std::string& key) {
-    Comma();
-    out_ += Quote(key) + ": {";
-    fresh_ = true;
-    return *this;
-  }
-  BenchJson& EndObject() {
-    out_ += "\n";
-    out_ += Indent(--depth_) + "}";
-    fresh_ = false;
-    return *this;
-  }
-  BenchJson& Field(const std::string& key, const std::string& value) {
-    Comma();
-    out_ += Quote(key) + ": " + Quote(value);
-    return *this;
-  }
-  BenchJson& Field(const std::string& key, const char* value) {
-    return Field(key, std::string(value));
-  }
-  BenchJson& Field(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    Comma();
-    out_ += Quote(key) + ": " + buf;
-    return *this;
-  }
-  BenchJson& Field(const std::string& key, uint64_t value) {
-    Comma();
-    out_ += Quote(key) + ": " + std::to_string(value);
-    return *this;
-  }
-  BenchJson& Field(const std::string& key, int value) {
-    return Field(key, static_cast<uint64_t>(value));
-  }
-
-  // Closes the root object and writes the document; returns false on I/O
-  // failure (the caller decides whether that fails the bench).
-  bool WriteFile(const std::string& path) {
-    while (depth_ > 1) {  // depth 1 is the root object's own content level.
-      EndObject();
-    }
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      return false;
-    }
-    const std::string doc = out_ + "\n}\n";
-    const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    return std::fclose(f) == 0 && ok;
-  }
-
- private:
-  static std::string Quote(const std::string& s) {
-    std::string q = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        q += '\\';
-      }
-      q += c;
-    }
-    return q + "\"";
-  }
-  static std::string Indent(int depth) { return std::string(static_cast<size_t>(depth) * 2, ' '); }
-  void Comma() {
-    if (!fresh_) {
-      out_ += ",";
-    }
-    out_ += "\n";
-    if (fresh_) {
-      ++depth_;
-    }
-    out_ += Indent(depth_);
-    fresh_ = false;
-  }
-
-  std::string out_;
-  int depth_ = 0;
-  bool fresh_ = true;
-};
 
 inline void PrintHeaderLoads(const std::vector<double>& loads) {
   std::printf("%-22s", "");

@@ -1,8 +1,5 @@
 #include "src/cluster/app_thresholds.h"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -11,6 +8,8 @@
 
 #include "src/cluster/deployment.h"
 #include "src/cluster/metrics.h"
+#include "src/common/file_io.h"
+#include "src/common/json.h"
 #include "src/common/logging.h"
 
 namespace rhythm {
@@ -147,31 +146,21 @@ bool LoadThresholdsFromDisk(const std::string& path, int pods, AppThresholds* ou
 }
 
 void SaveThresholdsToDisk(const std::string& path, const AppThresholds& thresholds) {
-  // Stage the entry next to its final name and rename into place: rename(2)
-  // is atomic within a filesystem, so a reader racing this writer — another
+  // Published with WriteFileAtomic, so a reader racing this writer (another
   // thread of this process or another bench process sharing the cache
-  // directory — always opens a complete file. The staging name carries pid
-  // plus a process-local counter so concurrent writers never collide.
-  static std::atomic<uint64_t> sequence{0};
-  char staging[320];
-  std::snprintf(staging, sizeof(staging), "%s.tmp.%ld.%llu", path.c_str(),
-                static_cast<long>(::getpid()),
-                static_cast<unsigned long long>(sequence.fetch_add(1)));
-  std::FILE* file = std::fopen(staging, "w");
-  if (file == nullptr) {
-    return;
-  }
+  // directory) always opens a complete entry.
+  std::string text;
   for (size_t pod = 0; pod < thresholds.pods.size(); ++pod) {
-    std::fprintf(file, "%.17g %.17g %.17g %.17g %.17g %.17g %.17g\n",
-                 thresholds.pods[pod].loadlimit, thresholds.pods[pod].slacklimit,
-                 thresholds.contributions[pod].contribution,
-                 thresholds.contributions[pod].weight_p,
-                 thresholds.contributions[pod].correlation_rho,
-                 thresholds.contributions[pod].varcoef_v, thresholds.contributions[pod].alpha);
+    const PodContribution& c = thresholds.contributions[pod];
+    for (double value : {thresholds.pods[pod].loadlimit, thresholds.pods[pod].slacklimit,
+                         c.contribution, c.weight_p, c.correlation_rho, c.varcoef_v, c.alpha}) {
+      text += ExactNum(value);
+      text += ' ';
+    }
+    text.back() = '\n';
   }
-  std::fclose(file);
-  if (std::rename(staging, path.c_str()) != 0) {
-    std::remove(staging);
+  if (!WriteFileAtomic(path, text)) {
+    RHYTHM_LOG(kWarning) << "Cannot write threshold cache entry " << path;
   }
 }
 

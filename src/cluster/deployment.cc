@@ -273,8 +273,8 @@ void Deployment::AccountingTick() {
       series.be_throughput.Add(now, be->NormalizedThroughput(elapsed_hours));
     }
   }
-  if (config_.observer != nullptr) {
-    config_.observer->AfterAccountingTick(*this);
+  for (DeploymentObserver* observer : config_.observers) {
+    observer->AfterAccountingTick(*this);
   }
 }
 
@@ -300,8 +300,8 @@ void Deployment::ControllerTick() {
                                 .load = load,
                                 .tail_ms = tail,
                                 .lc_utilization = service_->PodUtilization(pod)};
-    if (config_.observer != nullptr) {
-      config_.observer->BeforeAgentTick(*this, pod, sample);
+    for (DeploymentObserver* observer : config_.observers) {
+      observer->BeforeAgentTick(*this, pod, sample);
     }
     agents_[pod]->set_obs_now(now);
     agents_[pod]->Tick(sample);
@@ -313,8 +313,8 @@ void Deployment::ControllerTick() {
     scheduler_->set_obs_now(now);
     scheduler_->DispatchRound();
   }
-  if (config_.observer != nullptr) {
-    config_.observer->AfterControllerTick(*this);
+  for (DeploymentObserver* observer : config_.observers) {
+    observer->AfterControllerTick(*this);
   }
 }
 
@@ -432,8 +432,8 @@ void Deployment::OnPodCrash(int pod) {
               static_cast<double>(lost));
     }
   }
-  if (config_.observer != nullptr) {
-    config_.observer->OnPodCrash(*this, pod);
+  for (DeploymentObserver* observer : config_.observers) {
+    observer->OnPodCrash(*this, pod);
   }
 }
 
@@ -454,8 +454,8 @@ void Deployment::OnPodReboot(int pod) {
       agents_[pod]->TriggerBackoff();
     }
   }
-  if (config_.observer != nullptr) {
-    config_.observer->OnPodReboot(*this, pod);
+  for (DeploymentObserver* observer : config_.observers) {
+    observer->OnPodReboot(*this, pod);
   }
 }
 

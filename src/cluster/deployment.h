@@ -81,10 +81,11 @@ struct DeploymentConfig {
   // Optional fault schedule (must outlive the deployment). Load-spike events
   // are not applied here — wrap the profile in a SpikedLoadProfile.
   const FaultSchedule* faults = nullptr;
-  // Optional read-only observer (must outlive the deployment), notified at
-  // tick boundaries and crash edges — the invariant monitor's hook. An
-  // attached observer must never perturb the run (no mutation, no RNG).
-  DeploymentObserver* observer = nullptr;
+  // Read-only observers (each must outlive the deployment), notified in
+  // list order at tick boundaries and crash edges: the invariant monitor's
+  // and the flight recorder's hook. An attached observer must never perturb
+  // the run (no mutation, no RNG).
+  std::vector<DeploymentObserver*> observers;
   // Optional observability sink (must outlive the deployment). When set, the
   // deployment distributes it to every instrumented layer — agents,
   // scheduler, fault injector — and emits its own cluster-scope events

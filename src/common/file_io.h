@@ -1,0 +1,30 @@
+// Whole-file writers: bench artifacts, exporter recordings, repro and
+// schedule files, threshold-cache entries and daemon snapshots are rendered
+// to a string first and written here, with the open, the write and the close
+// all checked. (Kernel-event trace captures, which can run to hundreds of
+// MB, stream through WriteTraceFile instead.) A buffered write can fail only
+// at close (ENOSPC on a full disk), so a writer that skips the close check
+// reports success for a file that was never written.
+
+#ifndef RHYTHM_SRC_COMMON_FILE_IO_H_
+#define RHYTHM_SRC_COMMON_FILE_IO_H_
+
+#include <string>
+
+namespace rhythm {
+
+// Creates or truncates `path` and writes `bytes` to it. False when the open,
+// the write or the close fails; a failed write may leave a partial file.
+bool WriteFile(const std::string& path, const std::string& bytes);
+
+// Publishes `bytes` at `path` so a concurrent reader opens either the old
+// complete file or the new one: writes a unique `<path>.tmp.<pid>.<n>`
+// sibling, then renames it over `path` (atomic within a filesystem). On any
+// failure returns false, leaves `path` as it was and removes the staging
+// file. Concurrent calls on one path never share a staging file. `path`
+// must name a regular file: the rename replaces whatever node is there.
+bool WriteFileAtomic(const std::string& path, const std::string& bytes);
+
+}  // namespace rhythm
+
+#endif  // RHYTHM_SRC_COMMON_FILE_IO_H_

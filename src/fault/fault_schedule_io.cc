@@ -1,9 +1,11 @@
 #include "src/fault/fault_schedule_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "src/common/file_io.h"
+#include "src/common/json.h"
 
 namespace rhythm {
 
@@ -14,12 +16,6 @@ constexpr FaultKind kAllKinds[] = {
     FaultKind::kActuationDrop,   FaultKind::kBeInstanceFailure, FaultKind::kLoadSpike,
     FaultKind::kBeAdmissionHold, FaultKind::kMachineFailure,    FaultKind::kMachineRestart,
 };
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 }  // namespace
 
@@ -38,8 +34,8 @@ std::string FaultScheduleToText(const FaultSchedule& schedule) {
   out << "# rhythm-fault-schedule v1\n";
   out << "# kind pod start_s duration_s magnitude\n";
   for (const FaultEvent& event : schedule.events) {
-    out << FaultKindName(event.kind) << ' ' << event.pod << ' ' << FormatDouble(event.start_s)
-        << ' ' << FormatDouble(event.duration_s) << ' ' << FormatDouble(event.magnitude) << '\n';
+    out << FaultKindName(event.kind) << ' ' << event.pod << ' ' << ExactNum(event.start_s) << ' '
+        << ExactNum(event.duration_s) << ' ' << ExactNum(event.magnitude) << '\n';
   }
   return out.str();
 }
@@ -82,13 +78,8 @@ FaultSchedule FaultScheduleFromText(const std::string& text) {
 }
 
 void SaveFaultSchedule(const FaultSchedule& schedule, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("SaveFaultSchedule: cannot open " + path);
-  }
-  out << FaultScheduleToText(schedule);
-  if (!out.flush()) {
-    throw std::runtime_error("SaveFaultSchedule: write failed for " + path);
+  if (!WriteFile(path, FaultScheduleToText(schedule))) {
+    throw std::runtime_error("SaveFaultSchedule: cannot write " + path);
   }
 }
 

@@ -29,8 +29,9 @@ std::string FaultScheduleToText(const FaultSchedule& schedule);
 // line on any malformed input (unknown kind, missing field, trailing junk).
 FaultSchedule FaultScheduleFromText(const std::string& text);
 
-// File variants. Save overwrites atomically enough for test use (plain
-// ofstream); Load throws std::runtime_error when the file cannot be read.
+// File variants. Save writes through WriteFile and throws
+// std::runtime_error naming the path when the file cannot be written; Load
+// throws std::runtime_error when the file cannot be read.
 void SaveFaultSchedule(const FaultSchedule& schedule, const std::string& path);
 FaultSchedule LoadFaultSchedule(const std::string& path);
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/bemodel/be_job_spec.h"
+#include "src/common/file_io.h"
 #include "src/common/json.h"
 #include "src/common/parse_exact.h"
 #include "src/control/top_controller.h"
@@ -17,12 +18,6 @@
 
 namespace rhythm {
 namespace {
-
-// Shared JSON primitives (src/common/json.h): %.17g doubles (null when not
-// finite) and string escaping, the same routines the serving daemon renders
-// with.
-std::string Num(double value) { return JsonNum(value); }
-std::string EscapeJson(const std::string& text) { return JsonEscape(text); }
 
 // Compact formatting for human-readable output.
 std::string Short(double value) {
@@ -148,15 +143,6 @@ bool Read(const JsonValue& value, TimeSeries* out) {
   return true;
 }
 
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out << content;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 std::string DescribeEvent(const ObsEvent& event) {
@@ -261,36 +247,36 @@ std::string DescribeEvent(const ObsEvent& event) {
 std::string ToJsonl(const Recording& recording) {
   std::ostringstream out;
   const RecordingMeta& meta = recording.meta;
-  out << "{\"type\":\"meta\",\"app\":\"" << EscapeJson(meta.app) << "\",\"be\":\""
-      << EscapeJson(meta.be) << "\",\"controller\":\"" << EscapeJson(meta.controller)
-      << "\",\"seed\":" << meta.seed << ",\"sla_ms\":" << Num(meta.sla_ms)
-      << ",\"period_s\":" << Num(meta.controller_period_s) << ",\"pods\":[";
+  out << "{\"type\":\"meta\",\"app\":\"" << JsonEscape(meta.app) << "\",\"be\":\""
+      << JsonEscape(meta.be) << "\",\"controller\":\"" << JsonEscape(meta.controller)
+      << "\",\"seed\":" << meta.seed << ",\"sla_ms\":" << JsonNum(meta.sla_ms)
+      << ",\"period_s\":" << JsonNum(meta.controller_period_s) << ",\"pods\":[";
   for (size_t i = 0; i < meta.pods.size(); ++i) {
-    out << (i ? "," : "") << '"' << EscapeJson(meta.pods[i]) << '"';
+    out << (i ? "," : "") << '"' << JsonEscape(meta.pods[i]) << '"';
   }
   out << "],\"events_total\":" << recording.events_total
       << ",\"events_dropped\":" << recording.events_dropped << "}\n";
 
   for (const ObsEvent& event : recording.events) {
-    out << "{\"type\":\"event\",\"t\":" << Num(event.time_s)
+    out << "{\"type\":\"event\",\"t\":" << JsonNum(event.time_s)
         << ",\"machine\":" << event.machine
         << ",\"k\":" << static_cast<int>(event.kind)
         << ",\"code\":" << static_cast<int>(event.code)
-        << ",\"detail\":" << static_cast<int>(event.detail) << ",\"a\":" << Num(event.a)
-        << ",\"b\":" << Num(event.b) << ",\"c\":" << Num(event.c)
-        << ",\"d\":" << Num(event.d) << ",\"label\":\""
-        << EscapeJson(std::string(ObsKindName(event.kind)) + " " + CodeName(event))
+        << ",\"detail\":" << static_cast<int>(event.detail) << ",\"a\":" << JsonNum(event.a)
+        << ",\"b\":" << JsonNum(event.b) << ",\"c\":" << JsonNum(event.c)
+        << ",\"d\":" << JsonNum(event.d) << ",\"label\":\""
+        << JsonEscape(std::string(ObsKindName(event.kind)) + " " + CodeName(event))
         << "\"}\n";
   }
 
   for (const auto& metric : recording.metrics) {
-    out << "{\"type\":\"metric\",\"name\":\"" << EscapeJson(metric.name)
+    out << "{\"type\":\"metric\",\"name\":\"" << JsonEscape(metric.name)
         << "\",\"mtype\":" << static_cast<int>(metric.type)
-        << ",\"q\":" << Num(metric.quantile) << ",\"obs\":" << metric.observations
-        << ",\"current\":" << Num(metric.current) << ",\"points\":[";
+        << ",\"q\":" << JsonNum(metric.quantile) << ",\"obs\":" << metric.observations
+        << ",\"current\":" << JsonNum(metric.current) << ",\"points\":[";
     const auto& points = metric.timeline.points();
     for (size_t i = 0; i < points.size(); ++i) {
-      out << (i ? "," : "") << '[' << Num(points[i].time) << ',' << Num(points[i].value)
+      out << (i ? "," : "") << '[' << JsonNum(points[i].time) << ',' << JsonNum(points[i].value)
           << ']';
     }
     out << "]}\n";
@@ -384,8 +370,8 @@ Recording FromJsonl(const std::string& jsonl) {
 std::string ToPerfettoJson(const Recording& recording) {
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"app\":\""
-      << EscapeJson(recording.meta.app) << "\",\"be\":\"" << EscapeJson(recording.meta.be)
-      << "\",\"controller\":\"" << EscapeJson(recording.meta.controller)
+      << JsonEscape(recording.meta.app) << "\",\"be\":\"" << JsonEscape(recording.meta.be)
+      << "\",\"controller\":\"" << JsonEscape(recording.meta.controller)
       << "\",\"seed\":" << recording.meta.seed << "},\"traceEvents\":[";
   bool first = true;
   const auto emit = [&out, &first](const std::string& json) {
@@ -400,7 +386,7 @@ std::string ToPerfettoJson(const Recording& recording) {
     std::ostringstream line;
     line << "{\"ph\":\"M\",\"pid\":" << pod + 1
          << ",\"name\":\"process_name\",\"args\":{\"name\":\"machine " << pod << " — "
-         << EscapeJson(recording.meta.pods[static_cast<size_t>(pod)]) << "\"}}";
+         << JsonEscape(recording.meta.pods[static_cast<size_t>(pod)]) << "\"}}";
     emit(line.str());
   }
 
@@ -413,43 +399,43 @@ std::string ToPerfettoJson(const Recording& recording) {
     std::ostringstream line;
     switch (event.kind) {
       case ObsKind::kDecision:
-        line << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":1,\"ts\":" << Num(ts)
-             << ",\"dur\":" << Num(decision_us) << ",\"cat\":\"decision\",\"name\":\""
-             << EscapeJson(CodeName(event)) << "\",\"args\":{\"phase\":\""
-             << DetailName(event) << "\",\"load\":" << Num(event.a)
-             << ",\"slack\":" << Num(event.b) << ",\"loadlimit\":" << Num(event.c)
-             << ",\"slacklimit\":" << Num(event.d) << "}}";
+        line << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":1,\"ts\":" << JsonNum(ts)
+             << ",\"dur\":" << JsonNum(decision_us) << ",\"cat\":\"decision\",\"name\":\""
+             << JsonEscape(CodeName(event)) << "\",\"args\":{\"phase\":\""
+             << DetailName(event) << "\",\"load\":" << JsonNum(event.a)
+             << ",\"slack\":" << JsonNum(event.b) << ",\"loadlimit\":" << JsonNum(event.c)
+             << ",\"slacklimit\":" << JsonNum(event.d) << "}}";
         break;
       case ObsKind::kActuation:
-        line << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid << ",\"tid\":2,\"ts\":" << Num(ts)
-             << ",\"cat\":\"actuation\",\"name\":\"" << EscapeJson(CodeName(event))
-             << (event.detail != 0 ? "" : " FAILED") << "\",\"args\":{\"a\":" << Num(event.a)
-             << ",\"b\":" << Num(event.b) << "}}";
+        line << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid << ",\"tid\":2,\"ts\":" << JsonNum(ts)
+             << ",\"cat\":\"actuation\",\"name\":\"" << JsonEscape(CodeName(event))
+             << (event.detail != 0 ? "" : " FAILED") << "\",\"args\":{\"a\":" << JsonNum(event.a)
+             << ",\"b\":" << JsonNum(event.b) << "}}";
         break;
       case ObsKind::kFault:
         line << "{\"ph\":\"i\",\"s\":\"" << (event.machine >= 0 ? 'p' : 'g')
-             << "\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << Num(ts)
-             << ",\"cat\":\"fault\",\"name\":\"" << EscapeJson(CodeName(event)) << ' '
-             << DetailName(event) << "\",\"args\":{\"magnitude\":" << Num(event.a)
-             << ",\"duration_s\":" << Num(event.b) << "}}";
+             << "\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << JsonNum(ts)
+             << ",\"cat\":\"fault\",\"name\":\"" << JsonEscape(CodeName(event)) << ' '
+             << DetailName(event) << "\",\"args\":{\"magnitude\":" << JsonNum(event.a)
+             << ",\"duration_s\":" << JsonNum(event.b) << "}}";
         break;
       case ObsKind::kSloViolation:
-        line << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << Num(ts)
+        line << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << JsonNum(ts)
              << ",\"cat\":\"slo\",\"name\":\"SLO violation (" << CodeName(event)
-             << ")\",\"args\":{\"slack\":" << Num(event.a)
-             << ",\"tail_ms\":" << Num(event.b) << "}}";
+             << ")\",\"args\":{\"slack\":" << JsonNum(event.a)
+             << ",\"tail_ms\":" << JsonNum(event.b) << "}}";
         break;
       case ObsKind::kBeLifecycle:
-        line << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << Num(ts)
+        line << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << JsonNum(ts)
              << ",\"cat\":\"be\",\"name\":\"be " << CodeName(event)
-             << "\",\"args\":{\"count\":" << Num(event.a) << "}}";
+             << "\",\"args\":{\"count\":" << JsonNum(event.a) << "}}";
         break;
       case ObsKind::kPlacement:
         line << "{\"ph\":\"i\",\"s\":\"" << (event.machine >= 0 ? 'p' : 'g')
-             << "\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << Num(ts)
+             << "\",\"pid\":" << pid << ",\"tid\":3,\"ts\":" << JsonNum(ts)
              << ",\"cat\":\"placement\",\"name\":\"place " << CodeName(event)
-             << "\",\"args\":{\"group\":" << Num(event.a) << ",\"pods\":" << Num(event.b)
-             << ",\"score\":" << Num(event.c) << ",\"load\":" << Num(event.d) << "}}";
+             << "\",\"args\":{\"group\":" << JsonNum(event.a) << ",\"pods\":" << JsonNum(event.b)
+             << ",\"score\":" << JsonNum(event.c) << ",\"load\":" << JsonNum(event.d) << "}}";
         break;
     }
     emit(line.str());
@@ -469,9 +455,9 @@ std::string ToPerfettoJson(const Recording& recording) {
     }
     for (const auto& point : metric.timeline.points()) {
       std::ostringstream line;
-      line << "{\"ph\":\"C\",\"pid\":" << pid << ",\"ts\":" << Num(point.time * 1e6)
-           << ",\"name\":\"" << EscapeJson(metric.name) << "\",\"args\":{\"value\":"
-           << Num(point.value) << "}}";
+      line << "{\"ph\":\"C\",\"pid\":" << pid << ",\"ts\":" << JsonNum(point.time * 1e6)
+           << ",\"name\":\"" << JsonEscape(metric.name) << "\",\"args\":{\"value\":"
+           << JsonNum(point.value) << "}}";
       emit(line.str());
     }
   }

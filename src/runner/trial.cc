@@ -73,23 +73,16 @@ Trial::Trial(const RunRequest& request, TrialHooks hooks)
   }
 
   // Invariant monitor and flight recorder, attached as read-only observers
-  // when requested; both at once ride through an observer chain (monitor
-  // first, preserving its standalone hook order).
+  // when requested; the monitor goes first, keeping its standalone hook
+  // order.
   if (request_.verify.mode != InvariantMode::kOff) {
     monitor_ = std::make_unique<InvariantMonitor>(request_.verify);
-    config.observer = monitor_.get();
+    config.observers.push_back(monitor_.get());
   }
   if (request_.obs.enabled) {
     recorder_ = std::make_unique<FlightRecorder>(request_.obs);
     config.obs_sink = recorder_.get();
-    if (monitor_ != nullptr) {
-      observer_chain_ = std::make_unique<DeploymentObserverChain>();
-      observer_chain_->Add(monitor_.get());
-      observer_chain_->Add(recorder_.get());
-      config.observer = observer_chain_.get();
-    } else {
-      config.observer = recorder_.get();
-    }
+    config.observers.push_back(recorder_.get());
   }
 
   // Resolve the load profile, layering flash-crowd spikes from the fault

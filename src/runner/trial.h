@@ -79,7 +79,6 @@ class Trial {
 
   std::unique_ptr<InvariantMonitor> monitor_;
   std::unique_ptr<FlightRecorder> recorder_;
-  std::unique_ptr<DeploymentObserverChain> observer_chain_;
   std::unique_ptr<ConstantLoad> constant_;
   std::unique_ptr<SpikedLoadProfile> spiked_;
   const LoadProfile* profile_ = nullptr;

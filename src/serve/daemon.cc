@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <sstream>
@@ -11,6 +10,7 @@
 
 #include "src/cluster/app_thresholds.h"
 #include "src/common/env.h"
+#include "src/common/file_io.h"
 #include "src/common/json.h"
 #include "src/common/shard_pool.h"
 #include "src/place/cluster_engine.h"
@@ -313,29 +313,10 @@ std::string RhythmDaemon::SnapshotJson() const {
 }
 
 bool RhythmDaemon::SaveSnapshot(const std::string& path, std::string* error) {
-  const std::string staged = path + ".tmp";
-  {
-    std::ofstream out(staged, std::ios::trunc);
-    if (!out) {
-      if (error != nullptr) {
-        *error = "snapshot: cannot open " + staged;
-      }
-      return false;
-    }
-    out << SnapshotJson() << "\n";
-    if (!out.good()) {
-      if (error != nullptr) {
-        *error = "snapshot: write to " + staged + " failed";
-      }
-      std::remove(staged.c_str());
-      return false;
-    }
-  }
-  if (std::rename(staged.c_str(), path.c_str()) != 0) {
+  if (!WriteFileAtomic(path, SnapshotJson() + "\n")) {
     if (error != nullptr) {
-      *error = "snapshot: rename " + staged + " -> " + path + " failed";
+      *error = "snapshot: cannot write " + path;
     }
-    std::remove(staged.c_str());
     return false;
   }
   return true;

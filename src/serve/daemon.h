@@ -108,8 +108,9 @@ class RhythmDaemon {
   ThresholdStore& warm() { return warm_; }
   uint64_t audit_seq() const;
 
-  // Daemon state to/from a JSON file via stage + rename (a concurrent reader
-  // sees the old snapshot or the new one, never a torn write). Also used by
+  // Daemon state to/from a JSON file. Saves go through WriteFileAtomic: a
+  // concurrent reader sees the old snapshot or the new one, never a torn
+  // write, and concurrent saves to one path all succeed. Also used by
   // the --snapshot/--restore flags, so they work without HTTP round trips.
   bool SaveSnapshot(const std::string& path, std::string* error);
   bool RestoreSnapshot(const std::string& path, std::string* error);

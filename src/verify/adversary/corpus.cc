@@ -1,21 +1,11 @@
 #include "src/verify/adversary/corpus.h"
 
-#include <cstdio>
 #include <stdexcept>
 
+#include "src/common/json.h"
 #include "src/verify/adversary/fitness.h"
 
 namespace rhythm {
-
-namespace {
-
-std::string Num(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-}  // namespace
 
 std::string ClassifyWeakness(const FaultSchedule& schedule) {
   const bool holds = schedule.HasKind(FaultKind::kBeAdmissionHold);
@@ -112,12 +102,12 @@ std::string VerifyReproExpectations(const ChaosRepro& repro) {
            std::to_string(summary.slack_violation_ticks);
   }
   if (summary.worst_tail_ratio != repro.expect_worst_tail_ratio) {
-    return "worst_tail_ratio mismatch: expected " + Num(repro.expect_worst_tail_ratio) +
-           ", got " + Num(summary.worst_tail_ratio);
+    return "worst_tail_ratio mismatch: expected " + ExactNum(repro.expect_worst_tail_ratio) +
+           ", got " + ExactNum(summary.worst_tail_ratio);
   }
   if (summary.be_throughput != repro.expect_be_throughput) {
-    return "be_throughput mismatch: expected " + Num(repro.expect_be_throughput) + ", got " +
-           Num(summary.be_throughput);
+    return "be_throughput mismatch: expected " + ExactNum(repro.expect_be_throughput) + ", got " +
+           ExactNum(summary.be_throughput);
   }
   return std::string();
 }

@@ -1,11 +1,11 @@
 #include "src/verify/adversary/genome.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 
 #include "src/bemodel/be_job_spec.h"
+#include "src/common/json.h"
 #include "src/workload/app_catalog.h"
 #include "src/workload/load_profile.h"
 
@@ -182,9 +182,7 @@ RunRequest DecodeBaseline(const AdversaryGenome& genome, const AdversaryConfig& 
 std::string GenomeToString(const AdversaryGenome& genome) {
   std::ostringstream out;
   for (int i = 0; i < AdversaryGenome::kSize; ++i) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", genome.genes[i]);
-    out << (i == 0 ? "" : ";") << buffer;
+    out << (i == 0 ? "" : ";") << ExactNum(genome.genes[i]);
   }
   return out.str();
 }

@@ -12,8 +12,6 @@
 #ifndef RHYTHM_SRC_VERIFY_DEPLOYMENT_OBSERVER_H_
 #define RHYTHM_SRC_VERIFY_DEPLOYMENT_OBSERVER_H_
 
-#include <vector>
-
 #include "src/control/machine_agent.h"
 
 namespace rhythm {
@@ -51,50 +49,6 @@ class DeploymentObserver {
     (void)deployment;
     (void)pod;
   }
-};
-
-// Fans every hook out to several observers in attachment order, so a run can
-// carry the invariant monitor and a flight recorder at once through the
-// single DeploymentConfig::observer slot. Observers must outlive the chain.
-class DeploymentObserverChain final : public DeploymentObserver {
- public:
-  void Add(DeploymentObserver* observer) {
-    if (observer != nullptr) {
-      observers_.push_back(observer);
-    }
-  }
-  bool empty() const { return observers_.empty(); }
-  size_t size() const { return observers_.size(); }
-
-  void AfterAccountingTick(const Deployment& deployment) override {
-    for (DeploymentObserver* observer : observers_) {
-      observer->AfterAccountingTick(deployment);
-    }
-  }
-  void BeforeAgentTick(const Deployment& deployment, int pod,
-                       const MachineAgent::TelemetrySample& sample) override {
-    for (DeploymentObserver* observer : observers_) {
-      observer->BeforeAgentTick(deployment, pod, sample);
-    }
-  }
-  void AfterControllerTick(const Deployment& deployment) override {
-    for (DeploymentObserver* observer : observers_) {
-      observer->AfterControllerTick(deployment);
-    }
-  }
-  void OnPodCrash(const Deployment& deployment, int pod) override {
-    for (DeploymentObserver* observer : observers_) {
-      observer->OnPodCrash(deployment, pod);
-    }
-  }
-  void OnPodReboot(const Deployment& deployment, int pod) override {
-    for (DeploymentObserver* observer : observers_) {
-      observer->OnPodReboot(deployment, pod);
-    }
-  }
-
- private:
-  std::vector<DeploymentObserver*> observers_;
 };
 
 }  // namespace rhythm

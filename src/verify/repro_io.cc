@@ -1,25 +1,20 @@
 #include "src/verify/repro_io.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/bemodel/be_job_spec.h"
+#include "src/common/file_io.h"
+#include "src/common/json.h"
 #include "src/fault/fault_schedule_io.h"
 #include "src/workload/load_profile.h"
 
 namespace rhythm {
 
 namespace {
-
-std::string Num(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 int ParseEnumInt(const std::string& value, int limit, const char* key) {
   std::istringstream in(value);
@@ -114,21 +109,22 @@ std::string ChaosReproToText(const ChaosRepro& repro) {
   out << "#! be " << static_cast<int>(repro.be) << "\n";
   out << "#! controller " << static_cast<int>(repro.controller) << "\n";
   out << "#! run_seed " << repro.run_seed << "\n";
-  out << "#! load " << Num(repro.load) << "\n";
-  out << "#! warmup_s " << Num(repro.warmup_s) << "\n";
-  out << "#! measure_s " << Num(repro.measure_s) << "\n";
+  out << "#! load " << ExactNum(repro.load) << "\n";
+  out << "#! warmup_s " << ExactNum(repro.warmup_s) << "\n";
+  out << "#! measure_s " << ExactNum(repro.measure_s) << "\n";
   // An infinite tripwire (monitor default) is expressed by omission — stream
   // round-trips of "inf" are not portable.
   if (std::isfinite(repro.tripwire_ms)) {
-    out << "#! tripwire_ms " << Num(repro.tripwire_ms) << "\n";
+    out << "#! tripwire_ms " << ExactNum(repro.tripwire_ms) << "\n";
   }
-  out << "#! recovery_horizon_s " << Num(repro.recovery_horizon_s) << "\n";
+  out << "#! recovery_horizon_s " << ExactNum(repro.recovery_horizon_s) << "\n";
   if (repro.has_diurnal) {
-    out << "#! diurnal " << Num(repro.diurnal_min) << ' ' << Num(repro.diurnal_max) << "\n";
+    out << "#! diurnal " << ExactNum(repro.diurnal_min) << ' ' << ExactNum(repro.diurnal_max)
+        << "\n";
   }
   if (repro.has_pressure) {
-    out << "#! pressure " << Num(repro.pressure.cpu) << ' ' << Num(repro.pressure.llc) << ' '
-        << Num(repro.pressure.dram) << ' ' << Num(repro.pressure.net) << "\n";
+    out << "#! pressure " << ExactNum(repro.pressure.cpu) << ' ' << ExactNum(repro.pressure.llc)
+        << ' ' << ExactNum(repro.pressure.dram) << ' ' << ExactNum(repro.pressure.net) << "\n";
   }
   if (repro.hardening.readmission_jitter) {
     out << "#! harden_jitter 1\n";
@@ -138,13 +134,13 @@ std::string ChaosReproToText(const ChaosRepro& repro) {
   }
   if (repro.has_expectations) {
     out << "#! expect_slack_ticks " << repro.expect_slack_ticks << "\n";
-    out << "#! expect_worst_tail_ratio " << Num(repro.expect_worst_tail_ratio) << "\n";
-    out << "#! expect_be_throughput " << Num(repro.expect_be_throughput) << "\n";
+    out << "#! expect_worst_tail_ratio " << ExactNum(repro.expect_worst_tail_ratio) << "\n";
+    out << "#! expect_be_throughput " << ExactNum(repro.expect_be_throughput) << "\n";
   }
   out << "# kind pod start_s duration_s magnitude\n";
   for (const FaultEvent& event : repro.schedule.events) {
-    out << FaultKindName(event.kind) << ' ' << event.pod << ' ' << Num(event.start_s) << ' '
-        << Num(event.duration_s) << ' ' << Num(event.magnitude) << '\n';
+    out << FaultKindName(event.kind) << ' ' << event.pod << ' ' << ExactNum(event.start_s) << ' '
+        << ExactNum(event.duration_s) << ' ' << ExactNum(event.magnitude) << '\n';
   }
   return out.str();
 }
@@ -233,13 +229,8 @@ ChaosRepro ChaosReproFromText(const std::string& text) {
 }
 
 void SaveChaosRepro(const ChaosRepro& repro, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("SaveChaosRepro: cannot open " + path);
-  }
-  out << ChaosReproToText(repro);
-  if (!out.flush()) {
-    throw std::runtime_error("SaveChaosRepro: write failed for " + path);
+  if (!WriteFile(path, ChaosReproToText(repro))) {
+    throw std::runtime_error("SaveChaosRepro: cannot write " + path);
   }
 }
 

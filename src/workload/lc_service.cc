@@ -153,7 +153,6 @@ void LcService::HandleArrival() {
   const double latency_ms = (finish - now) * 1000.0;
   window_.Add(finish, latency_ms);
   latency_stats_.Add(latency_ms);
-  lifetime_p99_.Add(latency_ms);
   ++completed_;
   if (config_.record_sojourns) {
     for (size_t i = 0; i < sojourn_acc.size(); ++i) {

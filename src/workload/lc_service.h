@@ -22,7 +22,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/p2_quantile.h"
 #include "src/common/percentile_window.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -89,11 +88,6 @@ class LcService {
 
   // Tail latency (ms) at quantile q over the sliding window.
   double TailLatencyMs(double q = 0.99);
-
-  // Long-horizon 99th percentile (ms) over the service's whole lifetime,
-  // tracked with the constant-memory P^2 estimator — the number a day-long
-  // production run reports without retaining per-request samples.
-  double LifetimeTailLatencyMs() const { return lifetime_p99_.Value(); }
 
   // True (unthinned) request rate into Servpod `pod` (req/s).
   double PodLambda(int pod) const;
@@ -179,7 +173,6 @@ class LcService {
   std::vector<double> hiccup_factor_;
   std::vector<RunningStats> sojourns_;
   RunningStats latency_stats_;
-  P2Quantile lifetime_p99_{0.99};
   PercentileWindow window_;
   bool running_ = false;
   uint64_t completed_ = 0;

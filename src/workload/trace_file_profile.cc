@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iomanip>
+#include <sstream>
+
+#include "src/common/file_io.h"
 
 namespace rhythm {
 
@@ -76,18 +80,12 @@ double TraceFileProfile::LoadAt(double t) const {
 }
 
 bool TraceFileProfile::Save(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  bool ok = std::fprintf(file, "%s\n", kHeader) > 0;
+  std::ostringstream text;
+  text << kHeader << '\n' << std::fixed << std::setprecision(6);  // %.6f
   for (const Point& point : points_) {
-    if (!ok) {
-      break;
-    }
-    ok = std::fprintf(file, "%.6f,%.6f\n", point.time, point.load) > 0;
+    text << point.time << ',' << point.load << '\n';
   }
-  return std::fclose(file) == 0 && ok;
+  return WriteFile(path, text.str());
 }
 
 }  // namespace rhythm

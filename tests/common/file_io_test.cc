@@ -1,0 +1,97 @@
+// The checked whole-file writers. WriteFileAtomic is only ever pointed at
+// paths inside a private temp directory: aimed at a device node, its rename
+// would replace the node itself.
+
+#include "src/common/file_io.h"
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+namespace rhythm {
+namespace {
+
+namespace fs = std::filesystem;
+
+std::string ReadAll(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+int StagingFilesIn(const fs::path& dir) {
+  int count = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().find(".tmp.") != std::string::npos) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+class FileIoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::path(::testing::TempDir()) /
+           ("rhythm_file_io_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path dir_;
+};
+
+TEST_F(FileIoTest, WriteFileWritesAndReplaces) {
+  const std::string path = (dir_ / "out.json").string();
+  ASSERT_TRUE(WriteFile(path, "{\"first\":1}\n"));
+  EXPECT_EQ(ReadAll(path), "{\"first\":1}\n");
+  ASSERT_TRUE(WriteFile(path, "x"));
+  EXPECT_EQ(ReadAll(path), "x");
+}
+
+TEST_F(FileIoTest, WriteFileFailsInMissingDirectory) {
+  EXPECT_FALSE(WriteFile((dir_ / "missing" / "out.json").string(), "x"));
+}
+
+TEST_F(FileIoTest, WriteFileFailsWhenCloseFails) {
+  // /dev/full accepts the open and the buffered write; the flush at close
+  // fails with ENOSPC.
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  EXPECT_FALSE(WriteFile("/dev/full", "bytes that never land\n"));
+}
+
+TEST_F(FileIoTest, WriteFileAtomicReplacesAndLeavesNoStagingFile) {
+  const std::string path = (dir_ / "snapshot.json").string();
+  ASSERT_TRUE(WriteFileAtomic(path, "old"));
+  ASSERT_TRUE(WriteFileAtomic(path, "new contents"));
+  EXPECT_EQ(ReadAll(path), "new contents");
+  EXPECT_EQ(StagingFilesIn(dir_), 0);
+}
+
+TEST_F(FileIoTest, WriteFileAtomicFailsInMissingDirectory) {
+  EXPECT_FALSE(WriteFileAtomic((dir_ / "missing" / "snapshot.json").string(), "x"));
+  EXPECT_FALSE(fs::exists(dir_ / "missing"));
+  EXPECT_EQ(StagingFilesIn(dir_), 0);
+}
+
+TEST_F(FileIoTest, WriteFileAtomicOntoDirectoryKeepsTargetAndRemovesStaging) {
+  // The staging write succeeds and the rename fails (EISDIR).
+  const fs::path target = dir_ / "taken";
+  fs::create_directories(target / "child");
+  EXPECT_FALSE(WriteFileAtomic(target.string(), "x"));
+  EXPECT_TRUE(fs::is_directory(target / "child"));
+  EXPECT_EQ(StagingFilesIn(dir_), 0);
+}
+
+}  // namespace
+}  // namespace rhythm

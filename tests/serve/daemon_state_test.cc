@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/cluster/app_thresholds.h"
 #include "src/common/json.h"
@@ -21,6 +25,19 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           ("rhythm_serve_" + name + "_" + std::to_string(::getpid())))
       .string();
+}
+
+// Files beside `path` named `<path>.tmp*`: staging files a save left behind.
+int StagingSiblings(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 TEST(ThresholdStoreTest, GetMemoizesAndPutOverrides) {
@@ -58,7 +75,7 @@ TEST(DaemonSnapshotTest, SaveRestoreRoundTripsThresholdsAndCounters) {
     std::string error;
     ASSERT_TRUE(daemon.SaveSnapshot(path, &error)) << error;
     // Staged write leaves no temp file behind.
-    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    EXPECT_EQ(StagingSiblings(path), 0);
   }
 
   RhythmDaemon restored(options);
@@ -72,6 +89,53 @@ TEST(DaemonSnapshotTest, SaveRestoreRoundTripsThresholdsAndCounters) {
   ASSERT_EQ(redis.size(), 1u);
   EXPECT_DOUBLE_EQ(redis[0].slacklimit, 0.3);
 
+  std::remove(path.c_str());
+}
+
+TEST(DaemonSnapshotTest, ConcurrentSavesToOnePathAllSucceed) {
+  // Concurrent /v1/snapshot requests name one path; every save must land,
+  // and none may take another's staging file.
+  const std::string path = TempPath("concurrent");
+  DaemonOptions options;
+  options.server.port = 0;
+  RhythmDaemon daemon(options);
+  for (LcAppKind app : AllLcAppKinds()) {
+    std::vector<ServpodThresholds> pods;
+    for (int pod = 0; pod < 200; ++pod) {
+      pods.push_back({0.5 + pod / 1000.0, 0.1 + pod / 7000.0});
+    }
+    daemon.warm().Put(app, pods);
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kSavesPerThread = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kSavesPerThread; ++i) {
+        std::string error;
+        if (!daemon.SaveSnapshot(path, &error)) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(text.str(), &doc, &error)) << error;
+  const JsonValue* apps = doc.Find("apps");
+  ASSERT_NE(apps, nullptr);
+  EXPECT_EQ(apps->array.size(), AllLcAppKinds().size());
+  EXPECT_EQ(StagingSiblings(path), 0);
   std::remove(path.c_str());
 }
 

@@ -176,23 +176,6 @@ TEST(LcServiceTest, EventEmissionBalanced) {
   EXPECT_EQ(sends, accepts * 6);
 }
 
-TEST(LcServiceTest, LifetimeTailTracksWindowedTail) {
-  Simulator sim;
-  LcService::Config config;
-  config.tail_window_s = 40.0;
-  LcService service(&sim, MakeApp(LcAppKind::kEcommerce), config);
-  ConstantLoad profile(0.4);
-  service.SetLoadProfile(&profile);
-  service.Start();
-  sim.RunUntil(45.0);
-  // Constant load: the constant-memory lifetime estimate agrees with the
-  // exact windowed percentile to within sketch error.
-  const double windowed = service.TailLatencyMs();
-  const double lifetime = service.LifetimeTailLatencyMs();
-  EXPECT_NEAR(lifetime / windowed, 1.0, 0.12);
-  EXPECT_GT(lifetime, service.TailLatencyMs(0.5));
-}
-
 TEST(LcServiceTest, NoiseEventsEmittedWhenConfigured) {
   Simulator sim;
   EventLog log;

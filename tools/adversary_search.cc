@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/file_io.h"
+#include "src/common/json.h"
 #include "src/rhythm.h"
 #include "tools/common_flags.h"
 
@@ -46,17 +48,11 @@ using namespace rhythm;
 
 namespace {
 
-std::string Num(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 void PrintCandidate(const char* tag, const AdversaryCandidate& candidate) {
   std::printf("%s: fitness=%s damage=%s cost=%s slack_ticks=%llu tail_ratio=%.3f "
               "be=%.4f (baseline %.4f) eval#%llu\n",
-              tag, Num(candidate.fitness).c_str(), Num(candidate.damage).c_str(),
-              Num(candidate.cost).c_str(),
+              tag, ExactNum(candidate.fitness).c_str(), ExactNum(candidate.damage).c_str(),
+              ExactNum(candidate.cost).c_str(),
               (unsigned long long)candidate.attack.slack_violation_ticks,
               candidate.attack.worst_tail_ratio, candidate.attack.be_throughput,
               candidate.baseline_be_throughput, (unsigned long long)candidate.evaluation_index);
@@ -85,12 +81,13 @@ HardeningProbe ProbeRepro(ChaosRepro repro, const ControlHardening& hardening) {
   return probe;
 }
 
-void WriteProbeJson(FILE* out, const char* key, const HardeningProbe& probe) {
-  std::fprintf(out,
-               "    \"%s\": {\"damage\": %s, \"slack_ticks\": %llu, "
-               "\"tail_ratio\": %s, \"be_throughput\": %s}",
-               key, Num(probe.damage).c_str(), (unsigned long long)probe.slack_ticks,
-               Num(probe.tail_ratio).c_str(), Num(probe.be_throughput).c_str());
+void WriteProbeJson(JsonWriter& json, const char* key, const HardeningProbe& probe) {
+  json.Key(key).BeginObject()
+      .Key("damage").Number(probe.damage)
+      .Key("slack_ticks").UInt(probe.slack_ticks)
+      .Key("tail_ratio").Number(probe.tail_ratio)
+      .Key("be_throughput").Number(probe.be_throughput)
+      .EndObject();
 }
 
 }  // namespace
@@ -150,7 +147,7 @@ int main(int argc, char** argv) {
         const HardeningProbe probe = ProbeRepro(repro, combo.hardening);
         std::printf("%-10s damage=%-22s slack_ticks=%-5llu tail_ratio=%-8.3f be=%-8.4f "
                     "jitter_holds=%llu osc_trips=%llu\n",
-                    combo.name, Num(probe.damage).c_str(),
+                    combo.name, ExactNum(probe.damage).c_str(),
                     (unsigned long long)probe.slack_ticks, probe.tail_ratio,
                     probe.be_throughput, (unsigned long long)probe.jitter_holds,
                     (unsigned long long)probe.oscillation_trips);
@@ -200,8 +197,8 @@ int main(int argc, char** argv) {
 
   for (const AdversaryGenerationStats& stats : result.generations) {
     std::printf("  gen %2d: best=%s gen_best=%s gen_mean=%s evals=%llu\n", stats.generation,
-                Num(stats.best_fitness).c_str(), Num(stats.generation_best).c_str(),
-                Num(stats.generation_mean).c_str(), (unsigned long long)stats.evaluations);
+                ExactNum(stats.best_fitness).c_str(), ExactNum(stats.generation_best).c_str(),
+                ExactNum(stats.generation_mean).c_str(), (unsigned long long)stats.evaluations);
   }
   if (result.stopped_on_plateau) {
     std::printf("stopped early: fitness plateau\n");
@@ -212,11 +209,11 @@ int main(int argc, char** argv) {
   PrintCandidate("best", result.best);
   std::printf("best genome: %s\n", GenomeToString(result.best.genome).c_str());
 
-  if (!expect_best.empty() && Num(result.best.fitness) != expect_best) {
+  if (!expect_best.empty() && ExactNum(result.best.fitness) != expect_best) {
     std::fprintf(stderr,
                  "adversary_search: best fitness %s does not match expected %s — the "
                  "search is no longer bit-reproducible\n",
-                 Num(result.best.fitness).c_str(), expect_best.c_str());
+                 ExactNum(result.best.fitness).c_str(), expect_best.c_str());
     return 1;
   }
 
@@ -281,8 +278,8 @@ int main(int argc, char** argv) {
         SaveChaosRepro(attack.repro, path);
         std::printf("minimized attack -> %s: %d -> %d events, damage %s -> %s, class %s\n",
                     path.c_str(), attack.minimize.events_before, attack.minimize.events_after,
-                    Num(attack.original_damage).c_str(), Num(attack.minimized_damage).c_str(),
-                    attack.weakness_class.c_str());
+                    ExactNum(attack.original_damage).c_str(),
+                    ExactNum(attack.minimized_damage).c_str(), attack.weakness_class.c_str());
         classes_minted.push_back(attack.weakness_class);
         minimized.push_back(std::move(attack));
       } catch (const std::exception& error) {
@@ -292,39 +289,32 @@ int main(int argc, char** argv) {
   }
 
   if (!bench_json.empty()) {
-    FILE* out = std::fopen(bench_json.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "adversary_search: cannot write %s\n", bench_json.c_str());
-      return 2;
-    }
     ControlHardening jitter_only, osc_only, both;
     jitter_only.readmission_jitter = true;
     osc_only.oscillation_guard = true;
     both.readmission_jitter = true;
     both.oscillation_guard = true;
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"seed\": %llu,\n", (unsigned long long)options.seed);
-    std::fprintf(out, "  \"run_seed\": %llu,\n", (unsigned long long)options.config.run_seed);
-    std::fprintf(out, "  \"generations_run\": %d,\n", (int)result.generations.size());
-    std::fprintf(out, "  \"evaluations\": %llu,\n", (unsigned long long)result.evaluations);
-    std::fprintf(out, "  \"best_fitness\": %s,\n", Num(result.best.fitness).c_str());
-    std::fprintf(out, "  \"best_damage\": %s,\n", Num(result.best.damage).c_str());
-    std::fprintf(out, "  \"best_genome\": \"%s\",\n",
-                 GenomeToString(result.best.genome).c_str());
-    std::fprintf(out, "  \"progress\": [");
-    for (size_t i = 0; i < result.generations.size(); ++i) {
-      const AdversaryGenerationStats& stats = result.generations[i];
-      std::fprintf(out,
-                   "%s\n    {\"generation\": %d, \"best\": %s, \"gen_best\": %s, "
-                   "\"gen_mean\": %s, \"evaluations\": %llu}",
-                   i == 0 ? "" : ",", stats.generation, Num(stats.best_fitness).c_str(),
-                   Num(stats.generation_best).c_str(), Num(stats.generation_mean).c_str(),
-                   (unsigned long long)stats.evaluations);
+    JsonWriter json;
+    json.BeginObject()
+        .Key("seed").UInt(options.seed)
+        .Key("run_seed").UInt(options.config.run_seed)
+        .Key("generations_run").UInt(result.generations.size())
+        .Key("evaluations").UInt(result.evaluations)
+        .Key("best_fitness").Number(result.best.fitness)
+        .Key("best_damage").Number(result.best.damage)
+        .Key("best_genome").String(GenomeToString(result.best.genome))
+        .Key("progress").BeginArray();
+    for (const AdversaryGenerationStats& stats : result.generations) {
+      json.BeginObject()
+          .Key("generation").Int(stats.generation)
+          .Key("best").Number(stats.best_fitness)
+          .Key("gen_best").Number(stats.generation_best)
+          .Key("gen_mean").Number(stats.generation_mean)
+          .Key("evaluations").UInt(stats.evaluations)
+          .EndObject();
     }
-    std::fprintf(out, "\n  ],\n");
-    std::fprintf(out, "  \"attacks\": [");
-    for (size_t i = 0; i < minimized.size(); ++i) {
-      const AttackReproResult& attack = minimized[i];
+    json.EndArray().Key("attacks").BeginArray();
+    for (const AttackReproResult& attack : minimized) {
       const HardeningProbe unhardened = ProbeRepro(attack.repro, ControlHardening{});
       const HardeningProbe jittered = ProbeRepro(attack.repro, jitter_only);
       const HardeningProbe guarded = ProbeRepro(attack.repro, osc_only);
@@ -334,30 +324,31 @@ int main(int argc, char** argv) {
                    ? 100.0 * (unhardened.damage - probe.damage) / unhardened.damage
                    : 0.0;
       };
-      std::fprintf(out, "%s\n  {\n    \"weakness\": \"%s\",\n    \"events\": %d,\n",
-                   i == 0 ? "" : ",", attack.weakness_class.c_str(),
-                   (int)attack.repro.schedule.events.size());
-      WriteProbeJson(out, "unhardened", unhardened);
-      std::fprintf(out, ",\n");
-      WriteProbeJson(out, "readmission_jitter", jittered);
-      std::fprintf(out, ",\n");
-      WriteProbeJson(out, "oscillation_guard", guarded);
-      std::fprintf(out, ",\n");
-      WriteProbeJson(out, "both_fixes", hardened);
-      std::fprintf(out,
-                   ",\n    \"damage_reduction_pct\": {\"readmission_jitter\": %s, "
-                   "\"oscillation_guard\": %s, \"both_fixes\": %s}\n  }",
-                   Num(reduction_pct(jittered)).c_str(), Num(reduction_pct(guarded)).c_str(),
-                   Num(reduction_pct(hardened)).c_str());
+      json.BeginObject()
+          .Key("weakness").String(attack.weakness_class)
+          .Key("events").UInt(attack.repro.schedule.events.size());
+      WriteProbeJson(json, "unhardened", unhardened);
+      WriteProbeJson(json, "readmission_jitter", jittered);
+      WriteProbeJson(json, "oscillation_guard", guarded);
+      WriteProbeJson(json, "both_fixes", hardened);
+      json.Key("damage_reduction_pct").BeginObject()
+          .Key("readmission_jitter").Number(reduction_pct(jittered))
+          .Key("oscillation_guard").Number(reduction_pct(guarded))
+          .Key("both_fixes").Number(reduction_pct(hardened))
+          .EndObject()
+          .EndObject();
       std::printf("hardening on %s: damage %s | jitter %s (%.1f%%) | osc %s (%.1f%%) | "
                   "both %s (%.1f%%)\n",
-                  attack.weakness_class.c_str(), Num(unhardened.damage).c_str(),
-                  Num(jittered.damage).c_str(), reduction_pct(jittered),
-                  Num(guarded.damage).c_str(), reduction_pct(guarded),
-                  Num(hardened.damage).c_str(), reduction_pct(hardened));
+                  attack.weakness_class.c_str(), ExactNum(unhardened.damage).c_str(),
+                  ExactNum(jittered.damage).c_str(), reduction_pct(jittered),
+                  ExactNum(guarded.damage).c_str(), reduction_pct(guarded),
+                  ExactNum(hardened.damage).c_str(), reduction_pct(hardened));
     }
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
+    json.EndArray().EndObject();
+    if (!WriteFile(bench_json, std::move(json).str() + "\n")) {
+      std::fprintf(stderr, "adversary_search: cannot write %s\n", bench_json.c_str());
+      return 2;
+    }
     std::printf("bench written to %s\n", bench_json.c_str());
   }
 

@@ -5,7 +5,7 @@
 //
 // The solo run (enable_be=false) is not expressible through Run(), so this
 // also doubles as the manual-attachment example for the flight recorder:
-// wire it into DeploymentConfig yourself (observer + obs_sink), schedule the
+// wire it into DeploymentConfig yourself (observers + obs_sink), schedule the
 // metric snapshots after Start(), and read the tail timeline back from the
 // Recording instead of from the deployment.
 
@@ -24,7 +24,7 @@ int main() {
   config.app_kind = LcAppKind::kEcommerce;
   config.enable_be = false;
   config.seed = 3;
-  config.observer = &recorder;
+  config.observers = {&recorder};
   config.obs_sink = &recorder;
   Deployment deployment(config);
   ConstantLoad profile(0.8);

@@ -23,7 +23,6 @@
 //                      adds a per-policy "failover" line to the output
 //   --supervisor on|off  barrier-driven failover for the injected losses
 //                      (default on; only meaningful with --fail-machines)
-//   --bench-json PATH  write the comparison as BENCH_placement.json
 //   --obs-out PATH     write each policy's placement Recording as JSONL
 //                      (multi-policy runs insert the policy name before the
 //                      extension; obs_query can summarize the stream)
@@ -46,18 +45,13 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/rhythm.h"
 #include "tools/common_flags.h"
 
 using namespace rhythm;
 
 namespace {
-
-std::string Num(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 std::vector<std::string> SplitPolicies(const std::string& csv) {
   std::vector<std::string> names;
@@ -111,7 +105,7 @@ const ClusterSummary* FindPolicy(const std::vector<ClusterSummary>& summaries,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string policies_csv, bench_json, obs_out;
+  std::string policies_csv, obs_out;
   int machines = 32;
   uint64_t seed = 11;
   int jobs = 0;
@@ -136,7 +130,6 @@ int main(int argc, char** argv) {
         flags.Double("--ramp", &ramp) ||
         flags.Str("--fail-machines", &fail_machines) ||
         flags.OnOff("--supervisor", &supervisor_on) ||
-        flags.Str("--bench-json", &bench_json) ||
         flags.Str("--obs-out", &obs_out)) {
       continue;
     }
@@ -266,59 +259,18 @@ int main(int argc, char** argv) {
       std::printf("raw-failover %s down_group_seconds=%s "
                   "worst_failover_latency_s=%s\n",
                   summary.policy.c_str(),
-                  Num(summary.down_group_seconds).c_str(),
-                  Num(summary.worst_failover_latency_s).c_str());
+                  ExactNum(summary.down_group_seconds).c_str(),
+                  ExactNum(summary.worst_failover_latency_s).c_str());
     }
   }
   for (const ClusterSummary& summary : summaries) {
     std::printf("raw %s emu=%s slo_rate=%s tail_ratio=%s\n",
-                summary.policy.c_str(), Num(summary.emu).c_str(),
-                Num(summary.slo_violation_rate).c_str(),
-                Num(summary.worst_tail_ratio).c_str());
+                summary.policy.c_str(), ExactNum(summary.emu).c_str(),
+                ExactNum(summary.slo_violation_rate).c_str(),
+                ExactNum(summary.worst_tail_ratio).c_str());
   }
   if (!obs_out.empty()) {
     std::printf("placement recordings written to %s\n", obs_out.c_str());
-  }
-
-  if (!bench_json.empty()) {
-    FILE* out = std::fopen(bench_json.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "place_eval: cannot write %s\n", bench_json.c_str());
-      return 2;
-    }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"machines\": %d,\n", spec.machines);
-    std::fprintf(out, "  \"groups\": %d,\n", spec.TotalGroups());
-    std::fprintf(out, "  \"pods\": %d,\n", spec.TotalPods());
-    std::fprintf(out, "  \"seed\": %llu,\n", (unsigned long long)seed);
-    std::fprintf(out, "  \"epochs\": %d,\n", epochs);
-    std::fprintf(out, "  \"warmup_s\": %s,\n", Num(warmup_s).c_str());
-    std::fprintf(out, "  \"measure_s\": %s,\n", Num(measure_s).c_str());
-    std::fprintf(out, "  \"policies\": [");
-    for (size_t i = 0; i < summaries.size(); ++i) {
-      const ClusterSummary& s = summaries[i];
-      std::fprintf(out,
-                   "%s\n    {\"policy\": \"%s\", \"emu\": %s, "
-                   "\"lc_throughput\": %s, \"be_throughput\": %s, "
-                   "\"cpu_util\": %s, \"membw_util\": %s, "
-                   "\"slo_violation_rate\": %s, \"sla_violations\": %llu, "
-                   "\"be_kills\": %llu, \"worst_tail_ratio\": %s, "
-                   "\"groups_placed\": %d, \"groups_unplaced\": %d, "
-                   "\"solo_groups\": %d, \"machines_used\": %d, "
-                   "\"placement_churn\": %d}",
-                   i == 0 ? "" : ",", s.policy.c_str(), Num(s.emu).c_str(),
-                   Num(s.lc_throughput).c_str(), Num(s.be_throughput).c_str(),
-                   Num(s.cpu_util).c_str(), Num(s.membw_util).c_str(),
-                   Num(s.slo_violation_rate).c_str(),
-                   (unsigned long long)s.sla_violations,
-                   (unsigned long long)s.be_kills,
-                   Num(s.worst_tail_ratio).c_str(), s.groups_placed,
-                   s.groups_unplaced, s.solo_groups, s.machines_used,
-                   s.placement_churn);
-    }
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
-    std::printf("bench written to %s\n", bench_json.c_str());
   }
 
   if (assert_order) {
