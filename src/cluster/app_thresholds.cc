@@ -1,10 +1,12 @@
 #include "src/cluster/app_thresholds.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "src/cluster/deployment.h"
 #include "src/cluster/metrics.h"
@@ -16,6 +18,7 @@ namespace rhythm {
 
 AppThresholds DeriveAppThresholds(LcAppKind app_kind, const ThresholdOptions& options) {
   AppThresholds result;
+  result.app = app_kind;
   const AppSpec app = MakeApp(app_kind);
   const int pods = app.pod_count();
 
@@ -84,7 +87,7 @@ AppThresholds DeriveAppThresholds(LcAppKind app_kind, const ThresholdOptions& op
 namespace {
 
 // Fingerprint of the model parameters that influence threshold derivation,
-// so a stale disk-cache entry is ignored after recalibration.
+// so a stale record is rejected after recalibration.
 uint64_t SpecFingerprint(const AppSpec& app) {
   uint64_t hash = 1469598103934665603ULL;
   auto mix = [&hash](double v) {
@@ -112,54 +115,145 @@ uint64_t SpecFingerprint(const AppSpec& app) {
   return hash;
 }
 
+// What a record of one app must match.
+struct RecordKey {
+  std::string fingerprint;  // SpecFingerprint as 16 hex digits.
+  size_t pods = 0;
+};
+
+// The catalog is fixed at build time, so each app's key is computed once;
+// a load then builds no AppSpec (the cache is read on every cold start).
+const RecordKey& KeyOf(LcAppKind app) {
+  static const std::map<LcAppKind, RecordKey>* keys = [] {
+    auto* table = new std::map<LcAppKind, RecordKey>();
+    for (LcAppKind kind : AllLcAppKinds()) {
+      const AppSpec spec = MakeApp(kind);
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(SpecFingerprint(spec)));
+      (*table)[kind] = RecordKey{hex, static_cast<size_t>(spec.pod_count())};
+    }
+    return table;
+  }();
+  return keys->at(app);
+}
+
+// A present, finite number member of `object`.
+bool ReadFinite(const JsonValue& object, const char* key, double* out) {
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr || !value->is_number() || !std::isfinite(value->number)) {
+    return false;
+  }
+  *out = value->number;
+  return true;
+}
+
 }  // namespace
+
+void WriteThresholdRecord(const AppThresholds& thresholds, JsonWriter* out) {
+  RHYTHM_CHECK(thresholds.contributions.size() == thresholds.pods.size());
+  out->BeginObject()
+      .Key("app").String(LcAppKindName(thresholds.app))
+      .Key("fingerprint").String(KeyOf(thresholds.app).fingerprint)
+      .Key("pods").BeginArray();
+  for (size_t pod = 0; pod < thresholds.pods.size(); ++pod) {
+    const PodContribution& c = thresholds.contributions[pod];
+    out->BeginObject()
+        .Key("loadlimit").Number(thresholds.pods[pod].loadlimit)
+        .Key("slacklimit").Number(thresholds.pods[pod].slacklimit)
+        .Key("contribution").Number(c.contribution)
+        .Key("weight_p").Number(c.weight_p)
+        .Key("correlation_rho").Number(c.correlation_rho)
+        .Key("varcoef_v").Number(c.varcoef_v)
+        .Key("alpha").Number(c.alpha)
+        .EndObject();
+  }
+  out->EndArray().EndObject();
+}
+
+bool ReadThresholdRecord(const JsonValue& record, AppThresholds* out, std::string* error) {
+  const auto reject = [error](const std::string& why) {
+    if (error != nullptr) {
+      *error = why;
+    }
+    return false;
+  };
+  AppThresholds read;
+  const JsonValue* name = record.Find("app");
+  if (name == nullptr || !name->is_string() || !LcAppKindFromName(name->string, &read.app)) {
+    return reject("threshold record names no known app");
+  }
+  const std::string app = LcAppKindName(read.app);
+  const RecordKey& key = KeyOf(read.app);
+  const JsonValue* fingerprint = record.Find("fingerprint");
+  if (fingerprint == nullptr || !fingerprint->is_string() ||
+      fingerprint->string != key.fingerprint) {
+    return reject(app + " threshold record has a stale or missing fingerprint");
+  }
+  const JsonValue* pods = record.Find("pods");
+  if (pods == nullptr || !pods->is_array() || pods->array.size() != key.pods) {
+    return reject(app + " threshold record must hold " + std::to_string(key.pods) + " pods");
+  }
+  if (record.object.size() != 3) {
+    return reject(app + " threshold record has unknown keys");
+  }
+  read.pods.resize(pods->array.size());
+  read.contributions.resize(pods->array.size());
+  for (size_t pod = 0; pod < pods->array.size(); ++pod) {
+    const JsonValue& entry = pods->array[pod];
+    ServpodThresholds& limits = read.pods[pod];
+    PodContribution& c = read.contributions[pod];
+    if (entry.object.size() != 7 || !ReadFinite(entry, "loadlimit", &limits.loadlimit) ||
+        !ReadFinite(entry, "slacklimit", &limits.slacklimit) ||
+        !ReadFinite(entry, "contribution", &c.contribution) ||
+        !ReadFinite(entry, "weight_p", &c.weight_p) ||
+        !ReadFinite(entry, "correlation_rho", &c.correlation_rho) ||
+        !ReadFinite(entry, "varcoef_v", &c.varcoef_v) || !ReadFinite(entry, "alpha", &c.alpha) ||
+        limits.loadlimit < 0.0 || limits.slacklimit < 0.0) {
+      return reject(app + " threshold record has a malformed pod " + std::to_string(pod));
+    }
+  }
+  *out = std::move(read);
+  return true;
+}
 
 std::string ThresholdDiskCachePath(LcAppKind app) {
   const char* dir = std::getenv("RHYTHM_THRESHOLD_CACHE");
   if (dir == nullptr || dir[0] == '\0') {
     return {};
   }
-  char name[256];
-  std::snprintf(name, sizeof(name), "%s/%s-%016llx.thresholds", dir, LcAppKindName(app),
-                static_cast<unsigned long long>(SpecFingerprint(MakeApp(app))));
-  return name;
+  return std::string(dir) + "/" + LcAppKindName(app) + "-" + KeyOf(app).fingerprint +
+         ".thresholds";
 }
 
 bool LoadThresholdsFromDisk(const std::string& path, int pods, AppThresholds* out) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) {
+  std::string bytes;
+  if (!ReadFile(path, &bytes)) {
+    return false;  // No entry yet: nothing to reject.
+  }
+  JsonValue record;
+  AppThresholds loaded;
+  std::string error;
+  if (!ParseJson(bytes, &record, &error) || !ReadThresholdRecord(record, &loaded, &error)) {
+    RHYTHM_LOG(kWarning) << "Rejected threshold cache entry " << path << ": " << error;
     return false;
   }
-  out->pods.resize(pods);
-  out->contributions.resize(pods);
-  bool ok = true;
-  for (int pod = 0; pod < pods && ok; ++pod) {
-    ok = std::fscanf(file, "%lf %lf %lf %lf %lf %lf %lf", &out->pods[pod].loadlimit,
-                     &out->pods[pod].slacklimit, &out->contributions[pod].contribution,
-                     &out->contributions[pod].weight_p,
-                     &out->contributions[pod].correlation_rho,
-                     &out->contributions[pod].varcoef_v,
-                     &out->contributions[pod].alpha) == 7;
+  if (static_cast<int>(loaded.pods.size()) != pods) {
+    RHYTHM_LOG(kWarning) << "Rejected threshold cache entry " << path << ": it holds "
+                         << LcAppKindName(loaded.app) << ", not an app of " << pods << " pods";
+    return false;
   }
-  std::fclose(file);
-  return ok;
+  *out = std::move(loaded);
+  return true;
 }
 
 void SaveThresholdsToDisk(const std::string& path, const AppThresholds& thresholds) {
   // Published with WriteFileAtomic, so a reader racing this writer (another
   // thread of this process or another bench process sharing the cache
   // directory) always opens a complete entry.
-  std::string text;
-  for (size_t pod = 0; pod < thresholds.pods.size(); ++pod) {
-    const PodContribution& c = thresholds.contributions[pod];
-    for (double value : {thresholds.pods[pod].loadlimit, thresholds.pods[pod].slacklimit,
-                         c.contribution, c.weight_p, c.correlation_rho, c.varcoef_v, c.alpha}) {
-      text += ExactNum(value);
-      text += ' ';
-    }
-    text.back() = '\n';
-  }
-  if (!WriteFileAtomic(path, text)) {
+  JsonWriter record;
+  WriteThresholdRecord(thresholds, &record);
+  if (!WriteFileAtomic(path, std::move(record).str() + "\n")) {
     RHYTHM_LOG(kWarning) << "Cannot write threshold cache entry " << path;
   }
 }
@@ -182,11 +276,14 @@ const AppThresholds& CachedAppThresholds(LcAppKind app) {
     slot = &(*cache)[app];
   }
   std::call_once(slot->once, [app, slot] {
-    const AppSpec spec = MakeApp(app);
     const std::string path = ThresholdDiskCachePath(app);
-    if (!path.empty() && LoadThresholdsFromDisk(path, spec.pod_count(), &slot->value)) {
-      RHYTHM_LOG(kInfo) << "Loaded thresholds for " << LcAppKindName(app) << " from " << path;
-      return;
+    if (!path.empty() && LoadThresholdsFromDisk(path, MakeApp(app).pod_count(), &slot->value)) {
+      if (slot->value.app == app) {
+        RHYTHM_LOG(kInfo) << "Loaded thresholds for " << LcAppKindName(app) << " from " << path;
+        return;
+      }
+      RHYTHM_LOG(kWarning) << "Rejected threshold cache entry " << path << ": it holds "
+                           << LcAppKindName(slot->value.app) << ", not " << LcAppKindName(app);
     }
     RHYTHM_LOG(kInfo) << "Deriving thresholds for " << LcAppKindName(app);
     slot->value = DeriveAppThresholds(app);

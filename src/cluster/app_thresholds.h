@@ -1,7 +1,8 @@
 // End-to-end threshold derivation for one LC application: profile solo ->
 // contributions -> loadlimits (CoV rule) -> slacklimits (Algorithm 1 with a
 // mixed-BE probe). This is the one-time characterization Rhythm performs
-// when a new LC service is deployed (§3.2).
+// when a new LC service is deployed (§3.2), and the one JSON record that
+// stores it on disk and in rhythmd snapshots.
 
 #ifndef RHYTHM_SRC_CLUSTER_APP_THRESHOLDS_H_
 #define RHYTHM_SRC_CLUSTER_APP_THRESHOLDS_H_
@@ -11,14 +12,16 @@
 
 #include "src/analysis/contribution.h"
 #include "src/cluster/profiler.h"
+#include "src/common/json.h"
 #include "src/control/thresholds.h"
 #include "src/workload/app_catalog.h"
 
 namespace rhythm {
 
 struct AppThresholds {
+  LcAppKind app = LcAppKind::kEcommerce;
   std::vector<ServpodThresholds> pods;
-  std::vector<PodContribution> contributions;
+  std::vector<PodContribution> contributions;  // one per pod.
   ProfileResult profile;
 };
 
@@ -42,21 +45,44 @@ AppThresholds DeriveAppThresholds(LcAppKind app, const ThresholdOptions& options
 // Process-wide cached derivation (thresholds are derived once per LC service
 // and reused by every co-location experiment, as in the paper). When the
 // RHYTHM_THRESHOLD_CACHE environment variable names a directory, derived
-// thresholds are additionally persisted there — keyed by a fingerprint of
-// the application's model parameters — so separate bench binaries share one
-// characterization pass. Disk-cached entries carry thresholds and
-// contributions but no profile matrix.
+// thresholds are additionally persisted there as one threshold record per
+// app (below), so separate bench binaries share one characterization pass.
+// An entry that is stale, malformed or names another app is logged and
+// re-derived over, like a missing one. Disk-cached entries carry
+// thresholds and contributions but no profile matrix.
 //
 // Thread-safe: concurrent callers for the same app block until one of them
 // finishes the load-or-derive exactly once; callers for different apps
 // derive in parallel (the parallel experiment runner depends on this).
 const AppThresholds& CachedAppThresholds(LcAppKind app);
 
+// The threshold record: one app's characterization as JSON, the form of a
+// RHYTHM_THRESHOLD_CACHE entry and of each element of a rhythmd snapshot's
+// "apps" array:
+//
+//   {"app":"Redis","fingerprint":"b2dba467de994504","pods":[{"loadlimit":…,
+//    "slacklimit":…,"contribution":…,"weight_p":…,"correlation_rho":…,
+//    "varcoef_v":…,"alpha":…},…]}
+//
+// The fingerprint hashes the app's model parameters, so a record taken
+// before a recalibration stops reading. Doubles are %.17g: bit-exact.
+void WriteThresholdRecord(const AppThresholds& thresholds, JsonWriter* out);
+
+// Reads a record into *out (with an empty profile). False, with the reason
+// in *error and *out untouched, unless the record has exactly the keys
+// above, "app" is exactly a catalog name, "fingerprint" is that app's
+// today, "pods" has exactly the app's pod count, and every pod field is a
+// finite number with both limits non-negative.
+bool ReadThresholdRecord(const JsonValue& record, AppThresholds* out, std::string* error);
+
 // Disk-cache plumbing behind CachedAppThresholds, exposed so tests and
-// tools can exercise it directly. Writers stage to a temp file and rename,
-// so a concurrent reader sees either the old complete entry or the new one,
-// never a torn write — within a process or across bench processes sharing
-// one cache directory.
+// tools can exercise it directly. An entry is one record plus a newline,
+// published with WriteFileAtomic, so a concurrent reader sees either the
+// old complete entry or the new one, never a torn write — within a process
+// or across bench processes sharing one cache directory. The loader reads
+// it with ReadFile and ReadThresholdRecord, also requires `pods` pods, and
+// logs why it rejects an entry that exists; it does not check which app
+// the caller wanted, so CachedAppThresholds compares `out->app` itself.
 std::string ThresholdDiskCachePath(LcAppKind app);  // "" when cache disabled.
 bool LoadThresholdsFromDisk(const std::string& path, int pods, AppThresholds* out);
 void SaveThresholdsToDisk(const std::string& path, const AppThresholds& thresholds);

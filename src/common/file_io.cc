@@ -1,10 +1,13 @@
 #include "src/common/file_io.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 
 namespace rhythm {
 
@@ -15,6 +18,31 @@ bool WriteFile(const std::string& path, const std::string& bytes) {
   }
   const bool written = std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
   return std::fclose(file) == 0 && written;
+}
+
+bool ReadFile(const std::string& path, std::string* bytes) {
+  // POSIX reads, not stdio: no FILE and no stdio buffer to allocate, which
+  // is most of the cost of a small file such as a threshold-cache entry.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return false;
+  }
+  std::string text;
+  char chunk[1 << 14];
+  ssize_t read = 0;
+  while ((read = ::read(fd, chunk, sizeof(chunk))) != 0) {
+    if (read > 0) {
+      text.append(chunk, static_cast<size_t>(read));
+    } else if (errno != EINTR) {
+      break;  // EISDIR for a directory, which opens.
+    }
+  }
+  ::close(fd);
+  if (read != 0) {
+    return false;
+  }
+  *bytes = std::move(text);
+  return true;
 }
 
 bool WriteFileAtomic(const std::string& path, const std::string& bytes) {

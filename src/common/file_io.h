@@ -1,9 +1,10 @@
-// Whole-file writers: bench artifacts, exporter recordings, repro and
-// schedule files, threshold-cache entries and daemon snapshots are rendered
-// to a string first and written here, with the open, the write and the close
-// all checked. (Kernel-event trace captures, which can run to hundreds of
-// MB, stream through WriteTraceFile instead.) A buffered write can fail only
-// at close (ENOSPC on a full disk), so a writer that skips the close check
+// Whole-file reads and writes: bench artifacts, exporter recordings, repro
+// and schedule files, threshold-cache entries and daemon snapshots are
+// rendered to a string first and written here, with the open, the write and
+// the close all checked, and read back whole through ReadFile. (Kernel-event
+// trace captures, which can run to hundreds of MB, stream through
+// WriteTraceFile/ReadTraceFile instead.) A buffered write can fail only at
+// close (ENOSPC on a full disk), so a writer that skips the close check
 // reports success for a file that was never written.
 
 #ifndef RHYTHM_SRC_COMMON_FILE_IO_H_
@@ -16,6 +17,10 @@ namespace rhythm {
 // Creates or truncates `path` and writes `bytes` to it. False when the open,
 // the write or the close fails; a failed write may leave a partial file.
 bool WriteFile(const std::string& path, const std::string& bytes);
+
+// Reads all of `path` into *bytes. False, with *bytes untouched, when the
+// open or any read fails — a missing path or a directory among them.
+bool ReadFile(const std::string& path, std::string* bytes);
 
 // Publishes `bytes` at `path` so a concurrent reader opens either the old
 // complete file or the new one: writes a unique `<path>.tmp.<pid>.<n>`

@@ -1,6 +1,5 @@
 #include "src/fault/fault_schedule_io.h"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -84,13 +83,11 @@ void SaveFaultSchedule(const FaultSchedule& schedule, const std::string& path) {
 }
 
 FaultSchedule LoadFaultSchedule(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     throw std::runtime_error("LoadFaultSchedule: cannot open " + path);
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FaultScheduleFromText(text.str());
+  return FaultScheduleFromText(text);
 }
 
 }  // namespace rhythm

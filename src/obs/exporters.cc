@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -529,13 +528,11 @@ void ExportRecording(const Recording& recording, const ObsOptions& obs) {
 }
 
 Recording LoadJsonl(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     throw std::runtime_error("cannot read recording: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return FromJsonl(buffer.str());
+  return FromJsonl(text);
 }
 
 }  // namespace rhythm

@@ -75,6 +75,5 @@
 #include "src/workload/app_catalog.h"
 #include "src/workload/lc_service.h"
 #include "src/workload/load_profile.h"
-#include "src/workload/trace_file_profile.h"
 
 #endif  // RHYTHM_SRC_RHYTHM_H_

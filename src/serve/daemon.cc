@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -47,26 +46,33 @@ std::vector<ServpodThresholds> ThresholdStore::Get(LcAppKind app) {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto found = store_.find(app);
     if (found != store_.end()) {
-      return found->second;
+      return found->second.pods;
     }
   }
   // Derive (or disk-cache-load) outside the lock: characterization is the
   // slow path and CachedAppThresholds is itself thread-safe.
-  const std::vector<ServpodThresholds> pods = CachedAppThresholds(app).pods;
+  const AppThresholds& cached = CachedAppThresholds(app);
+  AppThresholds record;
+  record.app = app;
+  record.pods = cached.pods;
+  record.contributions = cached.contributions;
   std::lock_guard<std::mutex> lock(mutex_);
-  store_.emplace(app, pods);
-  return pods;
+  store_.emplace(app, std::move(record));
+  return cached.pods;
 }
 
-void ThresholdStore::Put(LcAppKind app, std::vector<ServpodThresholds> pods) {
+void ThresholdStore::Put(AppThresholds record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  store_[app] = std::move(pods);
+  store_[record.app] = std::move(record);
 }
 
-std::vector<std::pair<LcAppKind, std::vector<ServpodThresholds>>>
-ThresholdStore::All() const {
+std::vector<AppThresholds> ThresholdStore::All() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {store_.begin(), store_.end()};
+  std::vector<AppThresholds> records;
+  for (const auto& [app, record] : store_) {
+    records.push_back(record);
+  }
+  return records;
 }
 
 // -- Shared evaluation path --------------------------------------------------
@@ -283,7 +289,7 @@ HttpResponse RhythmDaemon::HandleRestore(const HttpRequest& request) {
 
 std::string RhythmDaemon::SnapshotJson() const {
   JsonWriter w;
-  w.BeginObject().Key("version").Int(1);
+  w.BeginObject().Key("version").Int(2);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     w.Key("audit_seq").UInt(audit_seq_);
@@ -298,15 +304,8 @@ std::string RhythmDaemon::SnapshotJson() const {
     w.EndArray();
   }
   w.Key("apps").BeginArray();
-  for (const auto& [app, pods] : warm_.All()) {
-    w.BeginObject().Key("app").String(LcAppKindName(app)).Key("pods").BeginArray();
-    for (const ServpodThresholds& pod : pods) {
-      w.BeginObject()
-          .Key("loadlimit").Number(pod.loadlimit)
-          .Key("slacklimit").Number(pod.slacklimit)
-          .EndObject();
-    }
-    w.EndArray().EndObject();
+  for (const AppThresholds& record : warm_.All()) {
+    WriteThresholdRecord(record, &w);
   }
   w.EndArray().EndObject();
   return std::move(w).str();
@@ -323,98 +322,89 @@ bool RhythmDaemon::SaveSnapshot(const std::string& path, std::string* error) {
 }
 
 bool RhythmDaemon::RestoreSnapshot(const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto reject = [&](const std::string& why) {
     if (error != nullptr) {
-      *error = "restore: cannot open " + path;
+      *error = "restore: " + path + ": " + why;
     }
     return false;
+  };
+  std::string text;
+  if (!ReadFile(path, &text)) {
+    return reject("cannot read the file");
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-
   JsonValue doc;
   std::string parse_error;
-  if (!ParseJson(buffer.str(), &doc, &parse_error) || !doc.is_object()) {
-    if (error != nullptr) {
-      *error = "restore: " + path + ": " + parse_error;
-    }
-    return false;
+  if (!ParseJson(text, &doc, &parse_error)) {
+    return reject(parse_error);
   }
-  if (doc.IntOr("version", 0) != 1) {
-    if (error != nullptr) {
-      *error = "restore: " + path + ": unsupported snapshot version";
-    }
-    return false;
+  // A present member of `object` as a uint64 counter.
+  const auto count = [](const JsonValue& object, const char* key, uint64_t* out) {
+    const JsonValue* value = object.Find(key);
+    return value != nullptr && value->GetInt(out);
+  };
+  uint64_t version = 0;
+  if (!count(doc, "version", &version) || version != 2) {
+    return reject("unsupported snapshot version");
   }
 
   // Validate everything before mutating any state: a bad snapshot must not
   // half-restore the daemon.
-  std::vector<std::pair<LcAppKind, std::vector<ServpodThresholds>>> apps;
-  if (const JsonValue* entries = doc.Find("apps")) {
-    if (!entries->is_array()) {
-      if (error != nullptr) {
-        *error = "restore: \"apps\" must be an array";
+  std::vector<AppThresholds> apps;
+  if (const JsonValue* records = doc.Find("apps")) {
+    if (!records->is_array()) {
+      return reject("\"apps\" must be an array");
+    }
+    for (const JsonValue& record : records->array) {
+      AppThresholds app;
+      std::string record_error;
+      if (!ReadThresholdRecord(record, &app, &record_error)) {
+        return reject(record_error);
       }
-      return false;
+      apps.push_back(std::move(app));
+    }
+  }
+  uint64_t restored_seq = 0;
+  if (doc.Find("audit_seq") != nullptr && !count(doc, "audit_seq", &restored_seq)) {
+    return reject("\"audit_seq\" must be an unsigned 64-bit integer");
+  }
+  struct Counts {
+    std::string endpoint;
+    uint64_t served = 0;
+    uint64_t errors = 0;
+  };
+  std::vector<Counts> endpoints;
+  if (const JsonValue* entries = doc.Find("endpoints")) {
+    if (!entries->is_array()) {
+      return reject("\"endpoints\" must be an array");
     }
     for (const JsonValue& entry : entries->array) {
-      LcAppKind app = LcAppKind::kEcommerce;
-      if (!entry.is_object() ||
-          !ParseLcAppKindName(entry.StringOr("app", ""), &app)) {
-        if (error != nullptr) {
-          *error = "restore: bad app entry in " + path;
-        }
-        return false;
+      Counts counts;
+      const JsonValue* name = entry.Find("endpoint");
+      if (name == nullptr || !name->is_string() || !count(entry, "served", &counts.served) ||
+          !count(entry, "errors", &counts.errors)) {
+        return reject("each \"endpoints\" entry needs an \"endpoint\" name and "
+                      "unsigned 64-bit \"served\" and \"errors\" counts");
       }
-      std::vector<ServpodThresholds> pods;
-      const JsonValue* pod_entries = entry.Find("pods");
-      if (pod_entries == nullptr || !pod_entries->is_array()) {
-        if (error != nullptr) {
-          *error = "restore: app entry without \"pods\" in " + path;
-        }
-        return false;
-      }
-      for (const JsonValue& pod_entry : pod_entries->array) {
-        ServpodThresholds pod;
-        pod.loadlimit = pod_entry.NumberOr("loadlimit", -1.0);
-        pod.slacklimit = pod_entry.NumberOr("slacklimit", -1.0);
-        if (pod.loadlimit < 0.0 || pod.slacklimit < 0.0) {
-          if (error != nullptr) {
-            *error = "restore: bad threshold entry in " + path;
-          }
-          return false;
-        }
-        pods.push_back(pod);
-      }
-      apps.emplace_back(app, std::move(pods));
+      counts.endpoint = name->string;
+      endpoints.push_back(std::move(counts));
     }
   }
 
-  for (auto& [app, pods] : apps) {
-    warm_.Put(app, std::move(pods));
+  for (AppThresholds& app : apps) {
+    warm_.Put(std::move(app));
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const uint64_t restored_seq =
-        static_cast<uint64_t>(doc.IntOr("audit_seq", 0));
-    // Never rewind the live sequence: restoring an old snapshot must not
-    // make the daemon overwrite audit records it already wrote.
-    if (restored_seq > audit_seq_) {
-      audit_seq_ = restored_seq;
-    }
-    if (const JsonValue* endpoints = doc.Find("endpoints")) {
-      if (endpoints->is_array()) {
-        for (const JsonValue& entry : endpoints->array) {
-          if (!entry.is_object()) {
-            continue;
-          }
-          EndpointStats& stats = stats_[entry.StringOr("endpoint", "?")];
-          stats.served += static_cast<uint64_t>(entry.IntOr("served", 0));
-          stats.errors += static_cast<uint64_t>(entry.IntOr("errors", 0));
-        }
-      }
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Never rewind the live sequence: restoring an old snapshot must not
+  // make the daemon overwrite audit records it already wrote.
+  if (restored_seq > audit_seq_) {
+    audit_seq_ = restored_seq;
+  }
+  // Saturating: a count restored near 2^64 must not wrap to a small one.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (const Counts& counts : endpoints) {
+    EndpointStats& stats = stats_[counts.endpoint];
+    stats.served += std::min(counts.served, kMax - stats.served);
+    stats.errors += std::min(counts.errors, kMax - stats.errors);
   }
   return true;
 }

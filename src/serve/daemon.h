@@ -2,7 +2,8 @@
 // the HTTP server to the what-if evaluator and keeps the only state a
 // serving instance accumulates:
 //
-//   * a warm threshold store — per-app ServpodThresholds copied out of
+//   * a warm threshold store — one threshold record per app (limits and
+//     contributions, src/cluster/app_thresholds.h) copied out of
 //     CachedAppThresholds the first time an app is served (or prewarmed at
 //     startup), so a snapshot can carry the expensive one-time
 //     characterization across restarts;
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/app_thresholds.h"
 #include "src/common/p2_quantile.h"
 #include "src/control/thresholds.h"
 #include "src/runner/runner.h"
@@ -40,20 +42,22 @@
 
 namespace rhythm {
 
-// Mutex-guarded per-app threshold copies. Get() falls through to the
-// process-wide CachedAppThresholds (deriving on first use) and memoizes the
-// pod vector here; Put() injects restored values so a snapshot-warmed daemon
+// Mutex-guarded per-app threshold records, without the profile matrix.
+// Get() returns the stored record's pod limits, falling through to the
+// process-wide CachedAppThresholds (deriving on first use) and memoizing its
+// record here; Put() injects a restored record so a snapshot-warmed daemon
 // serves trials without re-deriving.
 class ThresholdStore {
  public:
   std::vector<ServpodThresholds> Get(LcAppKind app);
-  void Put(LcAppKind app, std::vector<ServpodThresholds> pods);
-  // Stable (enum-ordered) copy of everything stored, for snapshots.
-  std::vector<std::pair<LcAppKind, std::vector<ServpodThresholds>>> All() const;
+  // Stores `record` as record.app's, replacing any earlier one.
+  void Put(AppThresholds record);
+  // Stable (enum-ordered) copy of every stored record, for snapshots.
+  std::vector<AppThresholds> All() const;
 
  private:
   mutable std::mutex mutex_;
-  std::map<LcAppKind, std::vector<ServpodThresholds>> store_;
+  std::map<LcAppKind, AppThresholds> store_;
 };
 
 struct WhatIfEvalOptions {
@@ -108,9 +112,14 @@ class RhythmDaemon {
   ThresholdStore& warm() { return warm_; }
   uint64_t audit_seq() const;
 
-  // Daemon state to/from a JSON file. Saves go through WriteFileAtomic: a
-  // concurrent reader sees the old snapshot or the new one, never a torn
-  // write, and concurrent saves to one path all succeed. Also used by
+  // Daemon state to/from a JSON file: {"version":2,"audit_seq":…,
+  // "endpoints":[{"endpoint":…,"served":…,"errors":…},…],"apps":[<threshold
+  // record>,…]}. Saves go through WriteFileAtomic: a concurrent reader sees
+  // the old snapshot or the new one, never a torn write, and concurrent
+  // saves to one path all succeed. A restore reads the whole file first —
+  // every record through ReadThresholdRecord, every counter as a uint64 —
+  // and changes nothing unless all of it is valid, so a record with a stale
+  // fingerprint or a wrong pod count fails the whole restore. Also used by
   // the --snapshot/--restore flags, so they work without HTTP round trips.
   bool SaveSnapshot(const std::string& path, std::string* error);
   bool RestoreSnapshot(const std::string& path, std::string* error);

@@ -1,7 +1,6 @@
 #include "src/verify/repro_io.h"
 
 #include <cmath>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -235,13 +234,11 @@ void SaveChaosRepro(const ChaosRepro& repro, const std::string& path) {
 }
 
 ChaosRepro LoadChaosRepro(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     throw std::runtime_error("LoadChaosRepro: cannot open " + path);
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ChaosReproFromText(text.str());
+  return ChaosReproFromText(text);
 }
 
 }  // namespace rhythm

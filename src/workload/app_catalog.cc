@@ -444,4 +444,14 @@ const char* LcAppKindName(LcAppKind kind) {
   return "?";
 }
 
+bool LcAppKindFromName(const std::string& name, LcAppKind* out) {
+  for (LcAppKind kind : AllLcAppKinds()) {
+    if (name == LcAppKindName(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace rhythm

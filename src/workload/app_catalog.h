@@ -66,6 +66,9 @@ AppSpec MakeEcommerceWithCacheMix(double hit_fraction);
 
 const std::vector<LcAppKind>& AllLcAppKinds();
 const char* LcAppKindName(LcAppKind kind);
+// Exact inverse of LcAppKindName: false, with *out untouched, for any other
+// spelling ("Redis" names kRedis; "redis" names nothing).
+bool LcAppKindFromName(const std::string& name, LcAppKind* out);
 
 }  // namespace rhythm
 

@@ -1,6 +1,6 @@
-// The checked whole-file writers. WriteFileAtomic is only ever pointed at
-// paths inside a private temp directory: aimed at a device node, its rename
-// would replace the node itself.
+// The checked whole-file reader and writers. WriteFileAtomic is only ever
+// pointed at paths inside a private temp directory: aimed at a device node,
+// its rename would replace the node itself.
 
 #include "src/common/file_io.h"
 
@@ -91,6 +91,34 @@ TEST_F(FileIoTest, WriteFileAtomicOntoDirectoryKeepsTargetAndRemovesStaging) {
   EXPECT_FALSE(WriteFileAtomic(target.string(), "x"));
   EXPECT_TRUE(fs::is_directory(target / "child"));
   EXPECT_EQ(StagingFilesIn(dir_), 0);
+}
+
+TEST_F(FileIoTest, ReadFileReturnsExactlyTheBytesWritten) {
+  // Binary bytes (a NUL, no final newline) across several read chunks.
+  std::string bytes(100000, 'r');
+  bytes[7] = '\0';
+  bytes[50000] = '\xff';
+  const std::string path = (dir_ / "bytes.bin").string();
+  ASSERT_TRUE(WriteFile(path, bytes));
+  std::string read = "stale";
+  ASSERT_TRUE(ReadFile(path, &read));
+  EXPECT_EQ(read, bytes);
+  ASSERT_TRUE(WriteFile(path, ""));
+  ASSERT_TRUE(ReadFile(path, &read));
+  EXPECT_TRUE(read.empty());
+}
+
+TEST_F(FileIoTest, ReadFileFailsForAMissingPath) {
+  std::string read = "untouched";
+  EXPECT_FALSE(ReadFile((dir_ / "missing.json").string(), &read));
+  EXPECT_EQ(read, "untouched");
+}
+
+TEST_F(FileIoTest, ReadFileFailsForADirectory) {
+  // fopen accepts a directory; its first read fails.
+  std::string read = "untouched";
+  EXPECT_FALSE(ReadFile(dir_.string(), &read));
+  EXPECT_EQ(read, "untouched");
 }
 
 }  // namespace

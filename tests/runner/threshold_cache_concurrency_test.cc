@@ -1,9 +1,10 @@
 // CachedAppThresholds and the RHYTHM_THRESHOLD_CACHE disk cache under
 // concurrency: many threads resolving the same and different apps must share
 // one load-or-derive per app, and readers racing the stage-then-rename
-// writers must never observe a torn cache entry. Entries are pre-seeded on
-// disk so no test pays for a real characterization pass (and so the cached
-// values are recognizably synthetic).
+// writers must never observe a torn cache entry. The loader must also reject
+// every entry that is not exactly its app's current record. Entries are
+// pre-seeded on disk so only one test (Elgg, about 0.1 s) pays for a real
+// characterization pass, and the cached values are recognizably synthetic.
 
 #include <gtest/gtest.h>
 
@@ -12,17 +13,22 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/rhythm.h"
 
 namespace rhythm {
 namespace {
 
-AppThresholds SyntheticThresholds(int pods, double loadlimit, double slacklimit) {
+// A valid record for `app`: its pod count, one limit pair on every pod.
+AppThresholds SyntheticThresholds(LcAppKind app, double loadlimit, double slacklimit) {
+  const int pods = MakeApp(app).pod_count();
   AppThresholds thresholds;
+  thresholds.app = app;
   thresholds.pods.assign(pods, ServpodThresholds{loadlimit, slacklimit});
   thresholds.contributions.resize(pods);
   for (int pod = 0; pod < pods; ++pod) {
@@ -65,12 +71,13 @@ TEST_F(ThresholdCacheConcurrencyTest, DiskRoundTripIsExact) {
   // %.17g round-trips every double exactly — a bench re-reading its own
   // cache entry computes bit-identical rows.
   const std::string path = dir_ + "/roundtrip.thresholds";
-  AppThresholds saved = SyntheticThresholds(3, 0.1 + 0.2 / 3.0, 1.0 / 7.0);
+  AppThresholds saved = SyntheticThresholds(LcAppKind::kElgg, 0.1 + 0.2 / 3.0, 1.0 / 7.0);
   saved.contributions[1].contribution = 0.30000000000000004;
   SaveThresholdsToDisk(path, saved);
 
   AppThresholds loaded;
   ASSERT_TRUE(LoadThresholdsFromDisk(path, 3, &loaded));
+  EXPECT_EQ(loaded.app, saved.app);
   ASSERT_EQ(loaded.pods.size(), saved.pods.size());
   for (size_t pod = 0; pod < saved.pods.size(); ++pod) {
     EXPECT_EQ(loaded.pods[pod].loadlimit, saved.pods[pod].loadlimit);
@@ -89,13 +96,122 @@ TEST_F(ThresholdCacheConcurrencyTest, CachePathEmptyWhenDisabled) {
   EXPECT_TRUE(ThresholdDiskCachePath(LcAppKind::kEcommerce).empty());
 }
 
+TEST_F(ThresholdCacheConcurrencyTest, LongCacheDirectoryKeepsEveryAppApart) {
+  // 253 characters: a 256-byte name buffer would cut every entry to
+  // "<dir>/E", and Elasticsearch would read E-commerce's entry.
+  std::string dir = ::testing::TempDir() + "rhythm_long_threshold_cache_";
+  ASSERT_LT(dir.size(), 253u);
+  dir.resize(253, 'x');
+  ::mkdir(dir.c_str(), 0755);
+  ::setenv("RHYTHM_THRESHOLD_CACHE", dir.c_str(), 1);
+  std::set<std::string> paths;
+  for (LcAppKind app : AllLcAppKinds()) {
+    paths.insert(ThresholdDiskCachePath(app));
+  }
+  EXPECT_EQ(paths.size(), AllLcAppKinds().size());
+
+  const AppThresholds saved[] = {SyntheticThresholds(LcAppKind::kEcommerce, 0.9, 0.12),
+                                 SyntheticThresholds(LcAppKind::kElasticsearch, 0.75, 0.238)};
+  for (const AppThresholds& entry : saved) {
+    SaveThresholdsToDisk(ThresholdDiskCachePath(entry.app), entry);
+  }
+  for (const AppThresholds& entry : saved) {
+    SCOPED_TRACE(LcAppKindName(entry.app));
+    AppThresholds loaded;
+    ASSERT_TRUE(LoadThresholdsFromDisk(ThresholdDiskCachePath(entry.app),
+                                       static_cast<int>(entry.pods.size()), &loaded));
+    EXPECT_EQ(loaded.app, entry.app);
+    ASSERT_EQ(loaded.pods.size(), entry.pods.size());
+    for (size_t pod = 0; pod < entry.pods.size(); ++pod) {
+      EXPECT_EQ(loaded.pods[pod].loadlimit, entry.pods[pod].loadlimit);
+      EXPECT_EQ(loaded.pods[pod].slacklimit, entry.pods[pod].slacklimit);
+    }
+  }
+}
+
+TEST_F(ThresholdCacheConcurrencyTest, LoadRejectsEntriesThatDoNotFitTheModel) {
+  const std::string path = dir_ + "/strict.thresholds";
+  AppThresholds short_of_a_pod = SyntheticThresholds(LcAppKind::kElgg, 0.5, 0.25);
+  short_of_a_pod.pods.pop_back();
+  short_of_a_pod.contributions.pop_back();
+  SaveThresholdsToDisk(path, short_of_a_pod);
+  std::string one_pod_too_few;
+  ASSERT_TRUE(ReadFile(path, &one_pod_too_few));
+
+  SaveThresholdsToDisk(path, SyntheticThresholds(LcAppKind::kElgg, 0.5, 0.25));
+  std::string valid;
+  ASSERT_TRUE(ReadFile(path, &valid));
+  AppThresholds loaded;
+  ASSERT_TRUE(LoadThresholdsFromDisk(path, 3, &loaded));  // the unedited entry reads.
+  // `valid` with its first `from` replaced by `to`.
+  const auto edited = [&valid](const std::string& from, const std::string& to) {
+    std::string text = valid;
+    const size_t at = text.find(from);
+    return at == std::string::npos ? std::string() : text.replace(at, from.size(), to);
+  };
+  std::string stale = valid;
+  const size_t fingerprint = stale.find("\"fingerprint\":\"") + 15;
+  stale[fingerprint] = stale[fingerprint] == '0' ? '1' : '0';
+
+  const struct {
+    const char* name;
+    std::string text;
+  } cases[] = {
+      {"one pod too few", one_pod_too_few},
+      {"content after the record", valid + "trailing junk\n"},
+      {"nan limit", edited("\"loadlimit\":0.5", "\"loadlimit\":nan")},
+      {"overflowing limit", edited("\"loadlimit\":0.5", "\"loadlimit\":1e999")},
+      {"negative limit", edited("\"slacklimit\":0.25", "\"slacklimit\":-0.1")},
+      {"changed fingerprint", stale},
+      {"unknown app", edited("\"app\":\"Elgg\"", "\"app\":\"Warcraft\"")},
+      {"app in another spelling", edited("\"app\":\"Elgg\"", "\"app\":\"elgg\"")},
+      {"unknown record key", edited("\"app\":\"Elgg\"", "\"app\":\"Elgg\",\"x\":1")},
+      {"unknown pod key", edited("\"alpha\":1", "\"alpha\":1,\"x\":1")},
+  };
+  for (const auto& entry : cases) {
+    SCOPED_TRACE(entry.name);
+    ASSERT_FALSE(entry.text.empty());
+    ASSERT_TRUE(WriteFile(path, entry.text));
+    AppThresholds rejected;
+    EXPECT_FALSE(LoadThresholdsFromDisk(path, 3, &rejected));
+    EXPECT_TRUE(rejected.pods.empty());
+  }
+}
+
+TEST_F(ThresholdCacheConcurrencyTest, EntryNamingAnotherAppIsRederived) {
+  // SNMS has Elgg's three pods, so only the record's app name tells this
+  // entry apart. Elgg derives in about 0.1 s, and no other test in this
+  // binary resolves Elgg, so its process-wide slot is still empty.
+  const std::string path = ThresholdDiskCachePath(LcAppKind::kElgg);
+  SaveThresholdsToDisk(path, SyntheticThresholds(LcAppKind::kSnms, 0.5, 0.25));
+  AppThresholds impostor;
+  ASSERT_TRUE(LoadThresholdsFromDisk(path, 3, &impostor));
+  ASSERT_EQ(impostor.app, LcAppKind::kSnms);
+
+  const AppThresholds& derived = CachedAppThresholds(LcAppKind::kElgg);
+  EXPECT_EQ(derived.app, LcAppKind::kElgg);
+  EXPECT_FALSE(derived.profile.levels.empty());  // derived, not loaded.
+  ASSERT_EQ(derived.pods.size(), 3u);
+
+  // The derivation replaced the entry with Elgg's own record.
+  AppThresholds reloaded;
+  ASSERT_TRUE(LoadThresholdsFromDisk(path, 3, &reloaded));
+  EXPECT_EQ(reloaded.app, LcAppKind::kElgg);
+  for (size_t pod = 0; pod < derived.pods.size(); ++pod) {
+    EXPECT_EQ(reloaded.pods[pod].loadlimit, derived.pods[pod].loadlimit);
+    EXPECT_EQ(reloaded.pods[pod].slacklimit, derived.pods[pod].slacklimit);
+  }
+}
+
 TEST_F(ThresholdCacheConcurrencyTest, ConcurrentCallersShareOneEntry) {
   // Pre-seed the disk entry so CachedAppThresholds takes the load path, then
   // hammer it: every caller must get the same node-stable slot with the
-  // synthetic values (i.e. exactly one load, zero derivations).
-  const LcAppKind app = LcAppKind::kElgg;
+  // synthetic values (i.e. exactly one load, zero derivations). Solr: no
+  // other test in this binary resolves it, and Elgg's slot is left for
+  // EntryNamingAnotherAppIsRederived.
+  const LcAppKind app = LcAppKind::kSolr;
   const int pods = MakeApp(app).pod_count();
-  SaveThresholdsToDisk(ThresholdDiskCachePath(app), SyntheticThresholds(pods, 0.33, 0.055));
+  SaveThresholdsToDisk(ThresholdDiskCachePath(app), SyntheticThresholds(app, 0.33, 0.055));
 
   constexpr int kThreads = 16;
   std::vector<const AppThresholds*> seen(kThreads, nullptr);
@@ -126,7 +242,7 @@ TEST_F(ThresholdCacheConcurrencyTest, DifferentAppsResolveInParallel) {
   const double loadlimits[] = {0.41, 0.62};
   for (int a = 0; a < 2; ++a) {
     SaveThresholdsToDisk(ThresholdDiskCachePath(apps[a]),
-                         SyntheticThresholds(MakeApp(apps[a]).pod_count(), loadlimits[a], 0.05));
+                         SyntheticThresholds(apps[a], loadlimits[a], 0.05));
   }
 
   constexpr int kThreadsPerApp = 8;
@@ -155,8 +271,8 @@ TEST_F(ThresholdCacheConcurrencyTest, RacingWritersNeverTearAnEntry) {
   // complete low- or high-variant entry, never a mix or a partial file.
   const std::string path = dir_ + "/race.thresholds";
   const int pods = 4;
-  const AppThresholds low = SyntheticThresholds(pods, 0.25, 0.01);
-  const AppThresholds high = SyntheticThresholds(pods, 0.75, 0.09);
+  const AppThresholds low = SyntheticThresholds(LcAppKind::kEcommerce, 0.25, 0.01);
+  const AppThresholds high = SyntheticThresholds(LcAppKind::kEcommerce, 0.75, 0.09);
   SaveThresholdsToDisk(path, low);
 
   std::atomic<bool> stop{false};

@@ -31,6 +31,7 @@ class DaemonPrewarmTest : public ::testing::Test {
     for (LcAppKind app : AllLcAppKinds()) {
       const int pods = MakeApp(app).pod_count();
       AppThresholds thresholds;
+      thresholds.app = app;
       thresholds.contributions.resize(pods);
       for (int pod = 0; pod < pods; ++pod) {
         const double loadlimit = 0.5 + 0.01 * static_cast<int>(app) + 0.001 * pod;
@@ -61,9 +62,10 @@ TEST_F(DaemonPrewarmTest, EveryListedAppHoldsItsSeededValues) {
   daemon.Stop();
 
   ASSERT_EQ(all.size(), expected_.size());
-  for (const auto& [app, pods] : all) {
-    SCOPED_TRACE(LcAppKindName(app));
-    const std::vector<ServpodThresholds>& seeded = expected_.at(app);
+  for (const AppThresholds& record : all) {
+    SCOPED_TRACE(LcAppKindName(record.app));
+    const std::vector<ServpodThresholds>& pods = record.pods;
+    const std::vector<ServpodThresholds>& seeded = expected_.at(record.app);
     ASSERT_EQ(pods.size(), seeded.size());
     for (size_t pod = 0; pod < pods.size(); ++pod) {
       EXPECT_EQ(pods[pod].loadlimit, seeded[pod].loadlimit);
@@ -85,13 +87,14 @@ TEST_F(DaemonPrewarmTest, UnlistedAppsStayCold) {
   daemon.Stop();
 
   ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].first, LcAppKind::kSolr);
-  EXPECT_EQ(all[1].first, LcAppKind::kElgg);
-  for (const auto& [app, pods] : all) {
-    ASSERT_EQ(pods.size(), expected_.at(app).size());
+  EXPECT_EQ(all[0].app, LcAppKind::kSolr);
+  EXPECT_EQ(all[1].app, LcAppKind::kElgg);
+  for (const AppThresholds& record : all) {
+    const std::vector<ServpodThresholds>& pods = record.pods;
+    ASSERT_EQ(pods.size(), expected_.at(record.app).size());
     for (size_t pod = 0; pod < pods.size(); ++pod) {
-      EXPECT_EQ(pods[pod].loadlimit, expected_.at(app)[pod].loadlimit);
-      EXPECT_EQ(pods[pod].slacklimit, expected_.at(app)[pod].slacklimit);
+      EXPECT_EQ(pods[pod].loadlimit, expected_.at(record.app)[pod].loadlimit);
+      EXPECT_EQ(pods[pod].slacklimit, expected_.at(record.app)[pod].slacklimit);
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/cluster/app_thresholds.h"
+#include "src/common/file_io.h"
 #include "src/common/json.h"
 #include "tests/serve/http_client.h"
 
@@ -25,6 +26,15 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
           ("rhythm_serve_" + name + "_" + std::to_string(::getpid())))
       .string();
+}
+
+// A threshold record with `pods` as its limits and default contributions.
+AppThresholds Record(LcAppKind app, std::vector<ServpodThresholds> pods) {
+  AppThresholds record;
+  record.app = app;
+  record.contributions.resize(pods.size());
+  record.pods = std::move(pods);
+  return record;
 }
 
 // Files beside `path` named `<path>.tmp*`: staging files a save left behind.
@@ -51,8 +61,7 @@ TEST(ThresholdStoreTest, GetMemoizesAndPutOverrides) {
     EXPECT_EQ(derived[i].slacklimit, cached[i].slacklimit);
   }
 
-  std::vector<ServpodThresholds> injected = {{0.5, 0.25}};
-  store.Put(LcAppKind::kRedis, injected);
+  store.Put(Record(LcAppKind::kRedis, {{0.5, 0.25}}));
   const auto fetched = store.Get(LcAppKind::kRedis);
   ASSERT_EQ(fetched.size(), 1u);
   EXPECT_DOUBLE_EQ(fetched[0].loadlimit, 0.5);
@@ -60,7 +69,7 @@ TEST(ThresholdStoreTest, GetMemoizesAndPutOverrides) {
 
   const auto all = store.All();
   ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].first, LcAppKind::kRedis);
+  EXPECT_EQ(all[0].app, LcAppKind::kRedis);
 }
 
 TEST(DaemonSnapshotTest, SaveRestoreRoundTripsThresholdsAndCounters) {
@@ -70,8 +79,8 @@ TEST(DaemonSnapshotTest, SaveRestoreRoundTripsThresholdsAndCounters) {
   options.server.port = 0;
   {
     RhythmDaemon daemon(options);
-    daemon.warm().Put(LcAppKind::kSolr, {{0.7, 0.2}, {0.9, 0.1}});
-    daemon.warm().Put(LcAppKind::kRedis, {{0.6, 0.3}});
+    daemon.warm().Put(Record(LcAppKind::kSolr, {{0.7, 0.2}, {0.9, 0.1}}));
+    daemon.warm().Put(Record(LcAppKind::kRedis, {{0.6, 0.3}, {0.6, 0.3}}));
     std::string error;
     ASSERT_TRUE(daemon.SaveSnapshot(path, &error)) << error;
     // Staged write leaves no temp file behind.
@@ -86,7 +95,7 @@ TEST(DaemonSnapshotTest, SaveRestoreRoundTripsThresholdsAndCounters) {
   EXPECT_DOUBLE_EQ(solr[0].loadlimit, 0.7);
   EXPECT_DOUBLE_EQ(solr[1].slacklimit, 0.1);
   const auto redis = restored.warm().Get(LcAppKind::kRedis);
-  ASSERT_EQ(redis.size(), 1u);
+  ASSERT_EQ(redis.size(), 2u);
   EXPECT_DOUBLE_EQ(redis[0].slacklimit, 0.3);
 
   std::remove(path.c_str());
@@ -104,7 +113,7 @@ TEST(DaemonSnapshotTest, ConcurrentSavesToOnePathAllSucceed) {
     for (int pod = 0; pod < 200; ++pod) {
       pods.push_back({0.5 + pod / 1000.0, 0.1 + pod / 7000.0});
     }
-    daemon.warm().Put(app, pods);
+    daemon.warm().Put(Record(app, pods));
   }
 
   constexpr int kThreads = 8;
@@ -147,14 +156,16 @@ TEST(DaemonSnapshotTest, ThresholdDoublesSurviveBitExactly) {
   // Awkward doubles: only %.17g round-trips these exactly.
   const double loadlimit = 0.1 + 0.2;          // 0.30000000000000004
   const double slacklimit = 1.0 / 3.0;
-  daemon.warm().Put(LcAppKind::kElgg, {{loadlimit, slacklimit}});
+  daemon.warm().Put(Record(LcAppKind::kElgg, {{loadlimit, slacklimit},
+                                              {loadlimit, slacklimit},
+                                              {loadlimit, slacklimit}}));
   std::string error;
   ASSERT_TRUE(daemon.SaveSnapshot(path, &error)) << error;
 
   RhythmDaemon restored(options);
   ASSERT_TRUE(restored.RestoreSnapshot(path, &error)) << error;
   const auto pods = restored.warm().Get(LcAppKind::kElgg);
-  ASSERT_EQ(pods.size(), 1u);
+  ASSERT_EQ(pods.size(), 3u);
   EXPECT_EQ(pods[0].loadlimit, loadlimit);    // bit-equal, not approx.
   EXPECT_EQ(pods[0].slacklimit, slacklimit);
   std::remove(path.c_str());
@@ -164,7 +175,7 @@ TEST(DaemonSnapshotTest, RestoreRejectsGarbageWithoutMutatingState) {
   const std::string path = TempPath("garbage");
   {
     std::ofstream out(path);
-    out << "{\"version\":1,\"apps\":[{\"app\":\"NotAnApp\",\"pods\":[]}]}";
+    out << "{\"version\":2,\"apps\":[{\"app\":\"NotAnApp\",\"pods\":[]}]}";
   }
   DaemonOptions options;
   options.server.port = 0;
@@ -186,6 +197,25 @@ TEST(DaemonSnapshotTest, RestoreRejectsGarbageWithoutMutatingState) {
   EXPECT_FALSE(daemon.RestoreSnapshot(path, &error));
   EXPECT_NE(error.find("version"), std::string::npos);
 
+  // Counters are uint64s read exactly. -1 would wrap audit_seq to 2^64-1,
+  // so the next audit record would reuse whatif-1.jsonl; -3 would wrap a
+  // served count. Valid members beside a bad one are not applied either.
+  for (const char* snapshot :
+       {"{\"version\":2,\"audit_seq\":-1}",
+        "{\"version\":2,\"audit_seq\":5,"
+        "\"endpoints\":[{\"endpoint\":\"whatif\",\"served\":-3,\"errors\":0}]}",
+        "{\"version\":2,\"audit_seq\":5,\"endpoints\":[{\"served\":1,\"errors\":0}]}",
+        "{\"version\":2,\"audit_seq\":5,\"endpoints\":[7]}",
+        "{\"version\":2,\"audit_seq\":1.5}"}) {
+    ASSERT_TRUE(WriteFile(path, snapshot));
+    error.clear();
+    EXPECT_FALSE(daemon.RestoreSnapshot(path, &error)) << snapshot;
+    EXPECT_FALSE(error.empty());
+  }
+  EXPECT_EQ(daemon.audit_seq(), 0u);
+  EXPECT_EQ(daemon.MetricsText().find("endpoint=\"whatif\""), std::string::npos);
+  EXPECT_TRUE(daemon.warm().All().empty());
+
   EXPECT_FALSE(daemon.RestoreSnapshot(TempPath("missing"), &error));
   std::remove(path.c_str());
 }
@@ -194,7 +224,7 @@ TEST(DaemonSnapshotTest, AuditSeqNeverRewinds) {
   const std::string path = TempPath("seq");
   {
     std::ofstream out(path);
-    out << "{\"version\":1,\"audit_seq\":41}";
+    out << "{\"version\":2,\"audit_seq\":41}";
   }
   DaemonOptions options;
   options.server.port = 0;
@@ -204,10 +234,81 @@ TEST(DaemonSnapshotTest, AuditSeqNeverRewinds) {
   EXPECT_EQ(daemon.audit_seq(), 41u);
   {
     std::ofstream out(path);
-    out << "{\"version\":1,\"audit_seq\":7}";
+    out << "{\"version\":2,\"audit_seq\":7}";
   }
   ASSERT_TRUE(daemon.RestoreSnapshot(path, &error)) << error;
   EXPECT_EQ(daemon.audit_seq(), 41u);  // the older snapshot cannot rewind.
+  // Above 2^63, where a signed read would saturate at 2^63-1.
+  ASSERT_TRUE(WriteFile(path, "{\"version\":2,\"audit_seq\":9223372036854775809}"));
+  ASSERT_TRUE(daemon.RestoreSnapshot(path, &error)) << error;
+  EXPECT_EQ(daemon.audit_seq(), 9223372036854775809u);
+  std::remove(path.c_str());
+}
+
+TEST(DaemonSnapshotTest, RestoredCountsSaturate) {
+  // Restores add to the live counts; a sum past 2^64-1 must not wrap.
+  const std::string path = TempPath("saturate");
+  ASSERT_TRUE(WriteFile(path,
+                        "{\"version\":2,\"endpoints\":[{\"endpoint\":\"whatif\","
+                        "\"served\":18446744073709551615,\"errors\":3}]}"));
+  DaemonOptions options;
+  options.server.port = 0;
+  RhythmDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.RestoreSnapshot(path, &error)) << error;
+  ASSERT_TRUE(daemon.RestoreSnapshot(path, &error)) << error;
+  const std::string metrics = daemon.MetricsText();
+  EXPECT_NE(metrics.find("rhythmd_queries_served_total{endpoint=\"whatif\"} "
+                         "18446744073709551615\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("rhythmd_queries_rejected_total{endpoint=\"whatif\"} 6\n"),
+            std::string::npos)
+      << metrics;
+  std::remove(path.c_str());
+}
+
+TEST(DaemonSnapshotTest, RestoreRejectsRecordsThatDoNotFitTheModel) {
+  // Redis has two Servpods. A one-pod record is valid JSON, but restoring
+  // it would make every later Redis what-if fail; a record with another
+  // model's fingerprint would serve stale limits. Both fail the restore.
+  JsonWriter one_pod;
+  one_pod.BeginObject().Key("version").Int(2).Key("apps").BeginArray();
+  WriteThresholdRecord(Record(LcAppKind::kRedis, {{0.6, 0.3}}), &one_pod);
+  one_pod.EndArray().EndObject();
+  JsonWriter two_pods;
+  two_pods.BeginObject().Key("version").Int(2).Key("apps").BeginArray();
+  WriteThresholdRecord(Record(LcAppKind::kRedis, {{0.6, 0.3}, {0.6, 0.3}}), &two_pods);
+  two_pods.EndArray().EndObject();
+  std::string stale = two_pods.str();
+  const size_t fingerprint = stale.find("\"fingerprint\":\"") + 15;
+  stale.replace(fingerprint, 16, "0123456789abcdef");
+
+  const std::string path = TempPath("mismatch");
+  DaemonOptions options;
+  options.server.port = 0;
+  RhythmDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+  for (const std::string& snapshot : {one_pod.str(), stale}) {
+    ASSERT_TRUE(WriteFile(path, snapshot));
+    error.clear();
+    EXPECT_FALSE(daemon.RestoreSnapshot(path, &error)) << snapshot;
+    EXPECT_NE(error.find("Redis"), std::string::npos) << error;
+    const TestResponse restored =
+        Fetch(daemon.port(), "POST", "/v1/restore", "{\"path\":\"" + path + "\"}");
+    EXPECT_EQ(restored.status, 422) << restored.body;
+  }
+  daemon.Stop();
+  EXPECT_TRUE(daemon.warm().All().empty());
+
+  // Redis what-ifs answer as if no snapshot had been offered.
+  const std::string body =
+      "{\"app\":\"Redis\",\"be\":\"wordcount\",\"seed\":7,"
+      "\"warmup_s\":2,\"measure_s\":8}";
+  WhatIfEvalOptions warmed;
+  warmed.warm = &daemon.warm();
+  EXPECT_EQ(EvalWhatIfJson(body, warmed), EvalWhatIfJson(body, WhatIfEvalOptions{}));
   std::remove(path.c_str());
 }
 
@@ -219,7 +320,7 @@ TEST(DaemonSnapshotTest, HttpSnapshotRestoreEndpointsWork) {
   RhythmDaemon daemon(options);
   std::string error;
   ASSERT_TRUE(daemon.Start(&error)) << error;
-  daemon.warm().Put(LcAppKind::kSnms, {{0.8, 0.12}});
+  daemon.warm().Put(Record(LcAppKind::kSnms, {{0.8, 0.12}, {0.8, 0.12}, {0.8, 0.12}}));
 
   const TestResponse saved = Fetch(daemon.port(), "POST", "/v1/snapshot", "{}");
   ASSERT_EQ(saved.status, 200) << saved.body;

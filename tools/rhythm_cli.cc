@@ -32,15 +32,6 @@ int UnknownOption(const FlagParser& flags) {
   return 2;
 }
 
-std::optional<LcAppKind> ParseApp(const std::string& name) {
-  for (LcAppKind kind : AllLcAppKinds()) {
-    if (name == LcAppKindName(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<BeJobKind> ParseBe(const std::string& name) {
   for (BeJobKind kind : AllBeJobKinds()) {
     if (name == GetBeJobSpec(kind).name) {
@@ -75,9 +66,9 @@ int CmdRun(FlagParser flags) {
     std::fprintf(stderr, "run requires --app, --be and --controller\n");
     return 2;
   }
-  const auto app = ParseApp(app_name);
+  LcAppKind app = LcAppKind::kEcommerce;
   const auto be = ParseBe(be_name);
-  if (!app || !be) {
+  if (!LcAppKindFromName(app_name, &app) || !be) {
     std::fprintf(stderr, "unknown app or BE name\n");
     return 2;
   }
@@ -89,7 +80,7 @@ int CmdRun(FlagParser flags) {
     std::fprintf(stderr, "--controller must be rhythm or heracles\n");
     return 2;
   }
-  request.app = *app;
+  request.app = app;
   request.be = *be;
 
   RunSummary s;
@@ -102,13 +93,13 @@ int CmdRun(FlagParser flags) {
   if (csv) {
     std::printf("app,be,controller,load,emu,be_throughput,cpu_util,membw_util,"
                 "worst_tail_ratio,sla_violations,be_kills\n");
-    std::printf("%s,%s,%s,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%llu,%llu\n", LcAppKindName(*app),
+    std::printf("%s,%s,%s,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%llu,%llu\n", LcAppKindName(app),
                 GetBeJobSpec(*be).name.c_str(), ControllerKindName(request.controller),
                 request.load, s.emu, s.be_throughput, s.cpu_util, s.membw_util, s.worst_tail_ratio,
                 (unsigned long long)s.sla_violations, (unsigned long long)s.be_kills);
     return 0;
   }
-  std::printf("%s + %s under %s at %.0f%% load (%.0fs window):\n", LcAppKindName(*app),
+  std::printf("%s + %s under %s at %.0f%% load (%.0fs window):\n", LcAppKindName(app),
               GetBeJobSpec(*be).name.c_str(), ControllerKindName(request.controller),
               request.load * 100.0, request.measure_s);
   std::printf("  EMU            %8.3f\n", s.emu);
@@ -133,13 +124,13 @@ int CmdThresholds(FlagParser flags) {
       return UnknownOption(flags);
     }
   }
-  const auto app = ParseApp(app_name);
-  if (!app) {
+  LcAppKind app = LcAppKind::kEcommerce;
+  if (!LcAppKindFromName(app_name, &app)) {
     std::fprintf(stderr, "thresholds requires --app=<name>\n");
     return 2;
   }
-  const AppSpec spec = MakeApp(*app);
-  const AppThresholds& thresholds = CachedAppThresholds(*app);
+  const AppSpec spec = MakeApp(app);
+  const AppThresholds& thresholds = CachedAppThresholds(app);
   std::printf("%-16s %10s %10s %14s\n", "Servpod", "loadlimit", "slacklimit", "contribution");
   for (int pod = 0; pod < spec.pod_count(); ++pod) {
     std::printf("%-16s %10.2f %10.3f %14.5f\n", spec.components[pod].name.c_str(),
@@ -158,13 +149,13 @@ int CmdProfile(FlagParser flags) {
       return UnknownOption(flags);
     }
   }
-  const auto app = ParseApp(app_name);
-  if (!app) {
+  LcAppKind app = LcAppKind::kEcommerce;
+  if (!LcAppKindFromName(app_name, &app)) {
     std::fprintf(stderr, "profile requires --app=<name>\n");
     return 2;
   }
-  const ProfileResult profile = ProfileSolo(*app, DefaultProfileLevels(), options);
-  const AppSpec spec = MakeApp(*app);
+  const ProfileResult profile = ProfileSolo(app, DefaultProfileLevels(), options);
+  const AppSpec spec = MakeApp(app);
   std::printf("load");
   for (int pod = 0; pod < spec.pod_count(); ++pod) {
     std::printf(",%s_mean_ms,%s_cov", spec.components[pod].name.c_str(),

@@ -32,12 +32,12 @@
 #include <signal.h>
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/serve/daemon.h"
 #include "src/workload/app_catalog.h"
 #include "tools/common_flags.h"
@@ -83,15 +83,10 @@ int OneShot(const std::string& file, const RunnerOptions& runner) {
     std::stringstream buffer;
     buffer << std::cin.rdbuf();
     body = buffer.str();
-  } else {
-    std::ifstream in(file);
-    if (!in) {
-      std::fprintf(stderr, "rhythmd: cannot open %s\n", file.c_str());
-      return 1;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    body = buffer.str();
+  } else if (!ReadFile(file, &body)) {
+    // A directory fails here too: an empty body would mean "all defaults".
+    std::fprintf(stderr, "rhythmd: cannot open %s\n", file.c_str());
+    return 1;
   }
   WhatIfEvalOptions options;
   options.runner = runner;

@@ -29,16 +29,6 @@ int Usage() {
   return 2;
 }
 
-bool ParseApp(const char* name, LcAppKind* out) {
-  for (LcAppKind kind : AllLcAppKinds()) {
-    if (std::strcmp(name, LcAppKindName(kind)) == 0) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 int Capture(const char* path, double seconds, LcAppKind kind) {
   Simulator sim;
   EventLog log;
@@ -106,7 +96,7 @@ int main(int argc, char** argv) {
     if (argc > 3 && !(ParseExact(argv[3], &seconds) && std::isfinite(seconds) && seconds > 0.0)) {
       return Usage();
     }
-    if (argc > 4 && !ParseApp(argv[4], &app)) {
+    if (argc > 4 && !LcAppKindFromName(argv[4], &app)) {
       return Usage();
     }
     return Capture(argv[2], seconds, app);
