@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
   // Batch-mode references (also warms every code path once, so the sweeps
   // below time steady-state serving, not first-touch characterization).
   rhythm::WhatIfEvalOptions eval;
-  eval.warm = &daemon.warm();
   const std::string trial_expected = rhythm::EvalWhatIfJson(trial_body, eval);
   const std::string cluster_expected =
       rhythm::EvalWhatIfJson(cluster_body, eval);

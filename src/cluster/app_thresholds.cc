@@ -1,5 +1,6 @@
 #include "src/cluster/app_thresholds.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -258,40 +259,80 @@ void SaveThresholdsToDisk(const std::string& path, const AppThresholds& threshol
   }
 }
 
-const AppThresholds& CachedAppThresholds(LcAppKind app) {
-  // Per-app slots under a short-lived map lock, each filled exactly once:
-  // callers racing on the same app block on its call_once while callers for
-  // different apps load or derive concurrently — a RunPlan touching five
-  // services characterizes them all in parallel. Slots are node-stable, so
-  // returned references stay valid for the process lifetime.
-  struct Slot {
-    std::once_flag once;
-    AppThresholds value;
-  };
-  static std::mutex mutex;
-  static std::map<LcAppKind, Slot>* cache = new std::map<LcAppKind, Slot>();
-  Slot* slot;
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    slot = &(*cache)[app];
-  }
-  std::call_once(slot->once, [app, slot] {
-    const std::string path = ThresholdDiskCachePath(app);
-    if (!path.empty() && LoadThresholdsFromDisk(path, MakeApp(app).pod_count(), &slot->value)) {
-      if (slot->value.app == app) {
-        RHYTHM_LOG(kInfo) << "Loaded thresholds for " << LcAppKindName(app) << " from " << path;
-        return;
-      }
-      RHYTHM_LOG(kWarning) << "Rejected threshold cache entry " << path << ": it holds "
-                           << LcAppKindName(slot->value.app) << ", not " << LcAppKindName(app);
-    }
-    RHYTHM_LOG(kInfo) << "Deriving thresholds for " << LcAppKindName(app);
-    slot->value = DeriveAppThresholds(app);
-    if (!path.empty()) {
-      SaveThresholdsToDisk(path, slot->value);
-    }
+namespace {
+
+// One app's place in the process-wide cache: `once` fills `value` exactly
+// once, then `filled` publishes it to readers that must not wait on a
+// derivation in progress.
+struct Slot {
+  std::once_flag once;
+  std::atomic<bool> filled{false};
+  AppThresholds value;
+};
+
+// A fixed slot per catalog app, never moved, so callers racing on one app
+// block on its call_once while callers for different apps load or derive
+// concurrently — a RunPlan touching five services characterizes them all
+// in parallel.
+Slot& SlotOf(LcAppKind app) {
+  static Slot* slots = new Slot[AllLcAppKinds().size()];
+  RHYTHM_CHECK(static_cast<size_t>(app) < AllLcAppKinds().size());
+  return slots[static_cast<size_t>(app)];
+}
+
+// Fills `slot` with make() unless it is filled already; true when this call
+// filled it.
+template <typename Make>
+bool FillOnce(Slot& slot, Make make) {
+  bool filled = false;
+  std::call_once(slot.once, [&] {
+    slot.value = make();
+    slot.filled.store(true);
+    filled = true;
   });
-  return slot->value;
+  return filled;
+}
+
+AppThresholds LoadOrDerive(LcAppKind app) {
+  const std::string path = ThresholdDiskCachePath(app);
+  AppThresholds loaded;
+  if (!path.empty() && LoadThresholdsFromDisk(path, MakeApp(app).pod_count(), &loaded)) {
+    if (loaded.app == app) {
+      RHYTHM_LOG(kInfo) << "Loaded thresholds for " << LcAppKindName(app) << " from " << path;
+      return loaded;
+    }
+    RHYTHM_LOG(kWarning) << "Rejected threshold cache entry " << path << ": it holds "
+                         << LcAppKindName(loaded.app) << ", not " << LcAppKindName(app);
+  }
+  RHYTHM_LOG(kInfo) << "Deriving thresholds for " << LcAppKindName(app);
+  AppThresholds derived = DeriveAppThresholds(app);
+  if (!path.empty()) {
+    SaveThresholdsToDisk(path, derived);
+  }
+  return derived;
+}
+
+}  // namespace
+
+const AppThresholds& CachedAppThresholds(LcAppKind app) {
+  Slot& slot = SlotOf(app);
+  FillOnce(slot, [app] { return LoadOrDerive(app); });
+  return slot.value;
+}
+
+bool FillAppThresholds(AppThresholds record) {
+  return FillOnce(SlotOf(record.app), [&record] { return std::move(record); });
+}
+
+std::vector<AppThresholds> CharacterizedAppThresholds() {
+  std::vector<AppThresholds> records;
+  for (LcAppKind app : AllLcAppKinds()) {  // enum order.
+    const Slot& slot = SlotOf(app);
+    if (slot.filled.load()) {
+      records.push_back({app, slot.value.pods, slot.value.contributions, {}});
+    }
+  }
+  return records;
 }
 
 }  // namespace rhythm

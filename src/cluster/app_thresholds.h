@@ -1,8 +1,9 @@
 // End-to-end threshold derivation for one LC application: profile solo ->
 // contributions -> loadlimits (CoV rule) -> slacklimits (Algorithm 1 with a
 // mixed-BE probe). This is the one-time characterization Rhythm performs
-// when a new LC service is deployed (§3.2), and the one JSON record that
-// stores it on disk and in rhythmd snapshots.
+// when a new LC service is deployed (§3.2), the one place a process keeps
+// it (CachedAppThresholds), and the one JSON record that stores it on disk
+// and in rhythmd snapshots.
 
 #ifndef RHYTHM_SRC_CLUSTER_APP_THRESHOLDS_H_
 #define RHYTHM_SRC_CLUSTER_APP_THRESHOLDS_H_
@@ -42,19 +43,32 @@ struct ThresholdOptions {
 
 AppThresholds DeriveAppThresholds(LcAppKind app, const ThresholdOptions& options = {});
 
-// Process-wide cached derivation (thresholds are derived once per LC service
-// and reused by every co-location experiment, as in the paper). When the
-// RHYTHM_THRESHOLD_CACHE environment variable names a directory, derived
-// thresholds are additionally persisted there as one threshold record per
-// app (below), so separate bench binaries share one characterization pass.
-// An entry that is stale, malformed or names another app is logged and
-// re-derived over, like a missing one. Disk-cached entries carry
-// thresholds and contributions but no profile matrix.
+// The process's one threshold cache (as in the paper, each LC service is
+// characterized once and every decision reuses it): every trial, placement
+// model and rhythmd query reads an app's record here. When the
+// RHYTHM_THRESHOLD_CACHE environment variable names a directory, the first
+// caller loads the app's record from there, or derives it and writes it
+// there, so separate bench binaries share one characterization pass. An
+// entry that is stale, malformed or names another app is logged and
+// re-derived over, like a missing one. Loaded records carry thresholds and
+// contributions but no profile matrix.
 //
 // Thread-safe: concurrent callers for the same app block until one of them
 // finishes the load-or-derive exactly once; callers for different apps
-// derive in parallel (the parallel experiment runner depends on this).
+// derive in parallel (the parallel experiment runner depends on this). An
+// app's record, once there, never changes, so the returned reference stays
+// valid for the process lifetime.
 const AppThresholds& CachedAppThresholds(LcAppKind app);
+
+// Puts an already-validated record (a restored rhythmd snapshot's) in the
+// cache unless this process has characterized record.app already: first
+// fill wins, and a fill waits for a derivation in progress. True when
+// `record` went in.
+bool FillAppThresholds(AppThresholds record);
+
+// A copy of every characterized app's record, in enum order and without
+// the profile matrix. Never waits for a derivation in progress.
+std::vector<AppThresholds> CharacterizedAppThresholds();
 
 // The threshold record: one app's characterization as JSON, the form of a
 // RHYTHM_THRESHOLD_CACHE entry and of each element of a rhythmd snapshot's

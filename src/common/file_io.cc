@@ -27,6 +27,12 @@ bool ReadFile(const std::string& path, std::string* bytes) {
   if (fd < 0) {
     return false;
   }
+  const bool read = ReadFd(fd, bytes);
+  ::close(fd);
+  return read;
+}
+
+bool ReadFd(int fd, std::string* bytes) {
   std::string text;
   char chunk[1 << 14];
   ssize_t read = 0;
@@ -34,12 +40,8 @@ bool ReadFile(const std::string& path, std::string* bytes) {
     if (read > 0) {
       text.append(chunk, static_cast<size_t>(read));
     } else if (errno != EINTR) {
-      break;  // EISDIR for a directory, which opens.
+      return false;  // EISDIR for a directory, which opens.
     }
-  }
-  ::close(fd);
-  if (read != 0) {
-    return false;
   }
   *bytes = std::move(text);
   return true;

@@ -22,6 +22,11 @@ bool WriteFile(const std::string& path, const std::string& bytes);
 // open or any read fails — a missing path or a directory among them.
 bool ReadFile(const std::string& path, std::string* bytes);
 
+// ReadFile's read loop on an open descriptor (stdin is 0): reads `fd` to
+// end of file into *bytes. False, with *bytes untouched, when any read
+// fails (EISDIR for a directory). Leaves `fd` open.
+bool ReadFd(int fd, std::string* bytes);
+
 // Publishes `bytes` at `path` so a concurrent reader opens either the old
 // complete file or the new one: writes a unique `<path>.tmp.<pid>.<n>`
 // sibling, then renames it over `path` (atomic within a filesystem). On any

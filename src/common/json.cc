@@ -358,6 +358,7 @@ class Parser {
         ++at_;
       }
     }
+    const size_t integer_end = at_;
     if (at_ < text_.size() && text_[at_] == '.') {
       ++at_;
       if (at_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[at_]))) {
@@ -380,8 +381,13 @@ class Parser {
       }
     }
     out->type = JsonValue::Type::kNumber;
-    out->string = text_.substr(start, at_ - start);
-    out->number = std::strtod(out->string.c_str(), nullptr);
+    const char* first = text_.data() + start;
+    if (at_ == integer_end) {
+      out->string.assign(first, at_ - start);  // no fraction or exponent.
+    }
+    // In a document that parses, strtod stops where the grammar did: what
+    // follows a number there is whitespace, ',', ']', '}' or the final NUL.
+    out->number = std::strtod(first, nullptr);
     if (!std::isfinite(out->number)) {
       return Fail("number out of range");
     }

@@ -29,8 +29,9 @@ struct JsonValue {
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0.0;
-  // A string's decoded text; for a number, its literal as written, which
-  // GetInt reads exactly.
+  // A string's decoded text; for an integer literal (no '.', 'e' or 'E'),
+  // the literal as written, which GetInt reads exactly; empty for any other
+  // number, which GetInt refuses anyway.
   std::string string;
   std::vector<JsonValue> array;
   // Insertion-ordered; duplicate keys are rejected at parse time.

@@ -37,43 +37,17 @@ JsonValue ParseBodyOrThrow(const std::string& body) {
   return doc;
 }
 
+// The "path" a /v1/snapshot or /v1/restore body names, else `fallback`.
+std::string SnapshotPathOf(const HttpRequest& request, const std::string& fallback,
+                           const std::string& endpoint) {
+  const std::string path = ParseBodyOrThrow(request.body).StringOr("path", fallback);
+  if (path.empty()) {
+    throw std::invalid_argument(endpoint + ": no \"path\" in body and no --snapshot default");
+  }
+  return path;
+}
+
 }  // namespace
-
-// -- ThresholdStore ----------------------------------------------------------
-
-std::vector<ServpodThresholds> ThresholdStore::Get(LcAppKind app) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto found = store_.find(app);
-    if (found != store_.end()) {
-      return found->second.pods;
-    }
-  }
-  // Derive (or disk-cache-load) outside the lock: characterization is the
-  // slow path and CachedAppThresholds is itself thread-safe.
-  const AppThresholds& cached = CachedAppThresholds(app);
-  AppThresholds record;
-  record.app = app;
-  record.pods = cached.pods;
-  record.contributions = cached.contributions;
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_.emplace(app, std::move(record));
-  return cached.pods;
-}
-
-void ThresholdStore::Put(AppThresholds record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_[record.app] = std::move(record);
-}
-
-std::vector<AppThresholds> ThresholdStore::All() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<AppThresholds> records;
-  for (const auto& [app, record] : store_) {
-    records.push_back(record);
-  }
-  return records;
-}
 
 // -- Shared evaluation path --------------------------------------------------
 
@@ -82,11 +56,6 @@ std::string EvalWhatIfJson(const std::string& body,
   const JsonValue doc = ParseBodyOrThrow(body);
   WhatIfQuery query = ParseWhatIfQuery(doc);
   if (query.kind == WhatIfQuery::Kind::kTrial) {
-    if (query.trial.thresholds.empty() && options.warm != nullptr) {
-      // Same values Run() would pull from CachedAppThresholds — filling them
-      // here only skips the lookup, the summary stays bit-identical.
-      query.trial.thresholds = options.warm->Get(query.trial.app);
-    }
     if (!options.audit_jsonl.empty()) {
       query.trial.obs.enabled = true;
       query.trial.obs.export_jsonl = options.audit_jsonl;
@@ -105,7 +74,29 @@ std::string EvalWhatIfJson(const std::string& body,
 // -- RhythmDaemon ------------------------------------------------------------
 
 RhythmDaemon::RhythmDaemon(DaemonOptions options)
-    : options_(std::move(options)), server_(options_.server) {}
+    : options_(std::move(options)), server_(options_.server) {
+  AddRoute("GET", "/healthz", "healthz", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{\"status\":\"ok\"}";
+    return response;
+  });
+  AddRoute("GET", "/metrics", "metrics", [this](const HttpRequest&) {
+    HttpResponse response;
+    response.content_type = "text/plain; version=0.0.4";
+    response.body = MetricsText();
+    return response;
+  });
+  AddRoute("POST", "/v1/whatif", "whatif",
+           [this](const HttpRequest& request) { return HandleWhatIf(request); });
+  for (const char* method : {"GET", "POST"}) {
+    AddRoute(method, "/v1/placements", "placements",
+             [this](const HttpRequest& request) { return HandlePlacements(request); });
+  }
+  AddRoute("POST", "/v1/snapshot", "snapshot",
+           [this](const HttpRequest& request) { return HandleSnapshot(request); });
+  AddRoute("POST", "/v1/restore", "restore",
+           [this](const HttpRequest& request) { return HandleRestore(request); });
+}
 
 RhythmDaemon::~RhythmDaemon() { Stop(); }
 
@@ -120,16 +111,16 @@ void RhythmDaemon::Prewarm() {
     return;
   }
   // Apps characterize independently (CachedAppThresholds derives distinct
-  // apps concurrently and the store is mutex-guarded), so the store ends up
-  // with exactly the serial values. Shards claim apps in list order; the
-  // width never exceeds the app count or the machine's job count.
+  // apps concurrently), so the cache ends up with exactly the serial
+  // values. Shards claim apps in list order; the width never exceeds the
+  // app count or the machine's job count.
   std::atomic<size_t> next{0};
   std::vector<std::exception_ptr> errors(apps.size());
   ShardPool pool(std::min(static_cast<int>(apps.size()), DefaultJobCount()));
   pool.RunPhase([&](int) {
     for (size_t i = next.fetch_add(1); i < apps.size(); i = next.fetch_add(1)) {
       try {
-        warm_.Get(apps[i]);
+        CachedAppThresholds(apps[i]);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -145,39 +136,6 @@ void RhythmDaemon::Prewarm() {
 
 bool RhythmDaemon::Start(std::string* error) {
   Prewarm();
-
-  server_.Handle("GET", "/healthz",
-                 Instrument("healthz", [](const HttpRequest&) {
-                   HttpResponse response;
-                   response.body = "{\"status\":\"ok\"}";
-                   return response;
-                 }));
-  server_.Handle("GET", "/metrics",
-                 Instrument("metrics", [this](const HttpRequest&) {
-                   HttpResponse response;
-                   response.content_type = "text/plain; version=0.0.4";
-                   response.body = MetricsText();
-                   return response;
-                 }));
-  server_.Handle("POST", "/v1/whatif",
-                 Instrument("whatif", [this](const HttpRequest& request) {
-                   return HandleWhatIf(request);
-                 }));
-  const HttpHandler placements =
-      Instrument("placements", [this](const HttpRequest& request) {
-        return HandlePlacements(request);
-      });
-  server_.Handle("GET", "/v1/placements", placements);
-  server_.Handle("POST", "/v1/placements", placements);
-  server_.Handle("POST", "/v1/snapshot",
-                 Instrument("snapshot", [this](const HttpRequest& request) {
-                   return HandleSnapshot(request);
-                 }));
-  server_.Handle("POST", "/v1/restore",
-                 Instrument("restore", [this](const HttpRequest& request) {
-                   return HandleRestore(request);
-                 }));
-
   started_ = std::chrono::steady_clock::now();
   return server_.Start(error);
 }
@@ -189,10 +147,11 @@ uint64_t RhythmDaemon::audit_seq() const {
   return audit_seq_;
 }
 
-HttpHandler RhythmDaemon::Instrument(const std::string& endpoint,
-                                     HttpHandler handler) {
-  return [this, endpoint, handler = std::move(handler)](
-             const HttpRequest& request) {
+void RhythmDaemon::AddRoute(const char* method, const char* path,
+                            const std::string& endpoint, HttpHandler handler) {
+  endpoints_.insert(endpoint);
+  server_.Handle(method, path, [this, endpoint, handler = std::move(handler)](
+                                   const HttpRequest& request) {
     const auto begin = std::chrono::steady_clock::now();
     HttpResponse response;
     try {
@@ -215,13 +174,12 @@ HttpHandler RhythmDaemon::Instrument(const std::string& endpoint,
     stats.p95.Add(latency_ms);
     stats.p99.Add(latency_ms);
     return response;
-  };
+  });
 }
 
 HttpResponse RhythmDaemon::HandleWhatIf(const HttpRequest& request) {
   WhatIfEvalOptions eval;
   eval.runner = options_.runner;
-  eval.warm = &warm_;
   if (!options_.audit_dir.empty()) {
     uint64_t seq = 0;
     {
@@ -244,42 +202,28 @@ HttpResponse RhythmDaemon::HandlePlacements(const HttpRequest& request) {
 }
 
 HttpResponse RhythmDaemon::HandleSnapshot(const HttpRequest& request) {
-  const JsonValue doc = ParseBodyOrThrow(request.body);
-  const std::string path = doc.StringOr("path", options_.snapshot_path);
-  if (path.empty()) {
-    throw std::invalid_argument(
-        "snapshot: no \"path\" in body and no --snapshot default");
-  }
+  const std::string path = SnapshotPathOf(request, options_.snapshot_path, "snapshot");
   std::string error;
   if (!SaveSnapshot(path, &error)) {
     return HttpError(500, error);
   }
-  JsonWriter w;
-  w.BeginObject()
-      .Key("path").String(path)
-      .Key("apps").Int(static_cast<int64_t>(warm_.All().size()))
-      .Key("audit_seq").UInt(audit_seq())
-      .EndObject();
-  HttpResponse response;
-  response.body = std::move(w).str();
-  return response;
+  return StateResponse(path);
 }
 
 HttpResponse RhythmDaemon::HandleRestore(const HttpRequest& request) {
-  const JsonValue doc = ParseBodyOrThrow(request.body);
-  const std::string path = doc.StringOr("path", options_.snapshot_path);
-  if (path.empty()) {
-    throw std::invalid_argument(
-        "restore: no \"path\" in body and no --snapshot default");
-  }
+  const std::string path = SnapshotPathOf(request, options_.snapshot_path, "restore");
   std::string error;
   if (!RestoreSnapshot(path, &error)) {
     return HttpError(422, error);
   }
+  return StateResponse(path);
+}
+
+HttpResponse RhythmDaemon::StateResponse(const std::string& path) const {
   JsonWriter w;
   w.BeginObject()
       .Key("path").String(path)
-      .Key("apps").Int(static_cast<int64_t>(warm_.All().size()))
+      .Key("apps").Int(static_cast<int64_t>(CharacterizedAppThresholds().size()))
       .Key("audit_seq").UInt(audit_seq())
       .EndObject();
   HttpResponse response;
@@ -304,7 +248,7 @@ std::string RhythmDaemon::SnapshotJson() const {
     w.EndArray();
   }
   w.Key("apps").BeginArray();
-  for (const AppThresholds& record : warm_.All()) {
+  for (const AppThresholds& record : CharacterizedAppThresholds()) {
     WriteThresholdRecord(record, &w);
   }
   w.EndArray().EndObject();
@@ -385,13 +329,19 @@ bool RhythmDaemon::RestoreSnapshot(const std::string& path, std::string* error) 
         return reject("each \"endpoints\" entry needs an \"endpoint\" name and "
                       "unsigned 64-bit \"served\" and \"errors\" counts");
       }
+      // /metrics prints the name raw inside endpoint="…", so only the
+      // daemon's own route names may come back.
+      if (endpoints_.count(name->string) == 0) {
+        return reject("an \"endpoints\" entry names no endpoint this daemon serves");
+      }
       counts.endpoint = name->string;
       endpoints.push_back(std::move(counts));
     }
   }
 
+  // Outside mutex_: a fill waits while a query derives the same app.
   for (AppThresholds& app : apps) {
-    warm_.Put(std::move(app));
+    FillAppThresholds(std::move(app));
   }
   std::lock_guard<std::mutex> lock(mutex_);
   // Never rewind the live sequence: restoring an old snapshot must not

@@ -4,6 +4,7 @@
 
 #include "src/common/file_io.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -119,6 +120,29 @@ TEST_F(FileIoTest, ReadFileFailsForADirectory) {
   std::string read = "untouched";
   EXPECT_FALSE(ReadFile(dir_.string(), &read));
   EXPECT_EQ(read, "untouched");
+}
+
+TEST_F(FileIoTest, ReadFdReadsAPipeToItsEndAndLeavesItOpen) {
+  // What `rhythmd --oneshot -` reads when a body is piped to it.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::string body = "{\"app\":\"Redis\"}";
+  ASSERT_EQ(::write(fds[1], body.data(), body.size()), static_cast<ssize_t>(body.size()));
+  ::close(fds[1]);
+  std::string read = "stale";
+  EXPECT_TRUE(ReadFd(fds[0], &read));
+  EXPECT_EQ(read, body);
+  EXPECT_EQ(::close(fds[0]), 0);  // still open.
+}
+
+TEST_F(FileIoTest, ReadFdFailsForADirectory) {
+  // `rhythmd --oneshot - < /tmp`: the shell opens the directory as stdin.
+  const int fd = ::open(dir_.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  std::string read = "untouched";
+  EXPECT_FALSE(ReadFd(fd, &read));
+  EXPECT_EQ(read, "untouched");
+  ::close(fd);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // CachedAppThresholds and the RHYTHM_THRESHOLD_CACHE disk cache under
 // concurrency: many threads resolving the same and different apps must share
-// one load-or-derive per app, and readers racing the stage-then-rename
-// writers must never observe a torn cache entry. The loader must also reject
-// every entry that is not exactly its app's current record. Entries are
-// pre-seeded on disk so only one test (Elgg, about 0.1 s) pays for a real
-// characterization pass, and the cached values are recognizably synthetic.
+// one load-or-derive per app, a record filled into the cache must win only
+// where nothing filled the slot before, and readers racing the
+// stage-then-rename writers must never observe a torn cache entry. The
+// loader must also reject every entry that is not exactly its app's current
+// record. Entries are pre-seeded on disk so only one test (Elgg, about
+// 0.1 s) pays for a real characterization pass, and the cached values are
+// recognizably synthetic.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 
 #include "src/common/file_io.h"
 #include "src/rhythm.h"
+#include "tests/fresh_process.h"
 
 namespace rhythm {
 namespace {
@@ -264,6 +267,70 @@ TEST_F(ThresholdCacheConcurrencyTest, DifferentAppsResolveInParallel) {
     thread.join();
   }
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(ThresholdCacheConcurrencyTest, FirstFillWinsAndEveryFilledAppIsListed) {
+  testing::InFreshProcess([] {
+    EXPECT_TRUE(CharacterizedAppThresholds().empty());
+    ASSERT_TRUE(FillAppThresholds(SyntheticThresholds(LcAppKind::kElgg, 0.5, 0.25)));
+    const AppThresholds& elgg = CachedAppThresholds(LcAppKind::kElgg);
+    EXPECT_FALSE(FillAppThresholds(SyntheticThresholds(LcAppKind::kElgg, 0.9, 0.5)));
+    EXPECT_EQ(&CachedAppThresholds(LcAppKind::kElgg), &elgg);
+    for (const ServpodThresholds& pod : elgg.pods) {
+      EXPECT_EQ(pod.loadlimit, 0.5);
+      EXPECT_EQ(pod.slacklimit, 0.25);
+    }
+
+    // A loaded app was characterized first, so a later fill changes nothing.
+    SaveThresholdsToDisk(ThresholdDiskCachePath(LcAppKind::kSolr),
+                         SyntheticThresholds(LcAppKind::kSolr, 0.33, 0.055));
+    EXPECT_EQ(CachedAppThresholds(LcAppKind::kSolr).pods[0].loadlimit, 0.33);
+    EXPECT_FALSE(FillAppThresholds(SyntheticThresholds(LcAppKind::kSolr, 0.7, 0.3)));
+
+    // Enum order (Solr before Elgg), limits and contributions, no profile.
+    const std::vector<AppThresholds> listed = CharacterizedAppThresholds();
+    ASSERT_EQ(listed.size(), 2u);
+    EXPECT_EQ(listed[0].app, LcAppKind::kSolr);
+    EXPECT_EQ(listed[1].app, LcAppKind::kElgg);
+    EXPECT_EQ(listed[0].pods[1].slacklimit, 0.055);
+    EXPECT_EQ(listed[1].contributions[2].alpha, 1.0);
+    EXPECT_TRUE(listed[1].profile.levels.empty());
+  });
+}
+
+TEST_F(ThresholdCacheConcurrencyTest, FillsRacingALoadAgreeOnOneRecord) {
+  // Fillers, loaders and listers race on one cold slot: exactly one of them
+  // fills it, and every reader sees that record.
+  testing::InFreshProcess([] {
+    const LcAppKind app = LcAppKind::kElasticsearch;
+    SaveThresholdsToDisk(ThresholdDiskCachePath(app), SyntheticThresholds(app, 0.41, 0.05));
+    constexpr int kThreads = 6;
+    std::atomic<int> fills{0};
+    std::vector<const AppThresholds*> seen(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&fills, &seen, t, app] {
+        if (t % 2 == 0) {
+          fills += FillAppThresholds(SyntheticThresholds(app, 0.6 + 0.01 * t, 0.1));
+        } else {
+          CharacterizedAppThresholds();
+        }
+        seen[t] = &CachedAppThresholds(app);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_LE(fills.load(), 1);
+    const double loadlimit = seen[0]->pods[0].loadlimit;
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], seen[0]);
+    }
+    EXPECT_EQ(loadlimit == 0.41, fills.load() == 0);
+    const std::vector<AppThresholds> listed = CharacterizedAppThresholds();
+    ASSERT_EQ(listed.size(), 1u);
+    EXPECT_EQ(listed[0].pods[0].loadlimit, loadlimit);
+  });
 }
 
 TEST_F(ThresholdCacheConcurrencyTest, RacingWritersNeverTearAnEntry) {

@@ -1,10 +1,10 @@
 // RhythmDaemon's parallel prewarm: every distinct app in DaemonOptions::
-// prewarm is loaded into the warm store before the port opens, on a pool
-// no wider than the app count. Entries are pre-seeded in a private
-// RHYTHM_THRESHOLD_CACHE (the ThresholdCacheConcurrencyTest pattern), so
-// nothing is characterized and the stored values are recognizably
-// synthetic. The tests build into their own binary, so no other test has
-// filled the process-wide threshold cache before them.
+// prewarm is loaded into the process-wide threshold cache before the port
+// opens, on a pool no wider than the app count. Entries are pre-seeded in a
+// private RHYTHM_THRESHOLD_CACHE (the ThresholdCacheConcurrencyTest
+// pattern), so nothing is characterized and the cached values are
+// recognizably synthetic. Each test prewarms in a fresh process, so no
+// other test has filled the cache before it.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 
 #include "src/cluster/app_thresholds.h"
 #include "src/serve/daemon.h"
+#include "tests/fresh_process.h"
 
 namespace rhythm {
 namespace {
@@ -49,54 +50,58 @@ class DaemonPrewarmTest : public ::testing::Test {
 };
 
 TEST_F(DaemonPrewarmTest, EveryListedAppHoldsItsSeededValues) {
-  DaemonOptions options;
-  options.server.host = "127.0.0.1";
-  options.server.port = 0;
-  options.prewarm = AllLcAppKinds();
-  options.prewarm.push_back(LcAppKind::kRedis);  // listed twice, loaded once.
+  testing::InFreshProcess([this] {
+    DaemonOptions options;
+    options.server.host = "127.0.0.1";
+    options.server.port = 0;
+    options.prewarm = AllLcAppKinds();
+    options.prewarm.push_back(LcAppKind::kRedis);  // listed twice, loaded once.
 
-  RhythmDaemon daemon(options);
-  std::string error;
-  ASSERT_TRUE(daemon.Start(&error)) << error;
-  const auto all = daemon.warm().All();
-  daemon.Stop();
+    RhythmDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.Start(&error)) << error;
+    const auto all = CharacterizedAppThresholds();
+    daemon.Stop();
 
-  ASSERT_EQ(all.size(), expected_.size());
-  for (const AppThresholds& record : all) {
-    SCOPED_TRACE(LcAppKindName(record.app));
-    const std::vector<ServpodThresholds>& pods = record.pods;
-    const std::vector<ServpodThresholds>& seeded = expected_.at(record.app);
-    ASSERT_EQ(pods.size(), seeded.size());
-    for (size_t pod = 0; pod < pods.size(); ++pod) {
-      EXPECT_EQ(pods[pod].loadlimit, seeded[pod].loadlimit);
-      EXPECT_EQ(pods[pod].slacklimit, seeded[pod].slacklimit);
+    ASSERT_EQ(all.size(), expected_.size());
+    for (const AppThresholds& record : all) {
+      SCOPED_TRACE(LcAppKindName(record.app));
+      const std::vector<ServpodThresholds>& pods = record.pods;
+      const std::vector<ServpodThresholds>& seeded = expected_.at(record.app);
+      ASSERT_EQ(pods.size(), seeded.size());
+      for (size_t pod = 0; pod < pods.size(); ++pod) {
+        EXPECT_EQ(pods[pod].loadlimit, seeded[pod].loadlimit);
+        EXPECT_EQ(pods[pod].slacklimit, seeded[pod].slacklimit);
+      }
     }
-  }
+  });
 }
 
 TEST_F(DaemonPrewarmTest, UnlistedAppsStayCold) {
-  DaemonOptions options;
-  options.server.host = "127.0.0.1";
-  options.server.port = 0;
-  options.prewarm = {LcAppKind::kSolr, LcAppKind::kElgg, LcAppKind::kSolr};
+  testing::InFreshProcess([this] {
+    DaemonOptions options;
+    options.server.host = "127.0.0.1";
+    options.server.port = 0;
+    options.prewarm = {LcAppKind::kSolr, LcAppKind::kElgg, LcAppKind::kSolr};
 
-  RhythmDaemon daemon(options);
-  std::string error;
-  ASSERT_TRUE(daemon.Start(&error)) << error;
-  const auto all = daemon.warm().All();
-  daemon.Stop();
+    RhythmDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.Start(&error)) << error;
+    const auto all = CharacterizedAppThresholds();
+    daemon.Stop();
 
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].app, LcAppKind::kSolr);
-  EXPECT_EQ(all[1].app, LcAppKind::kElgg);
-  for (const AppThresholds& record : all) {
-    const std::vector<ServpodThresholds>& pods = record.pods;
-    ASSERT_EQ(pods.size(), expected_.at(record.app).size());
-    for (size_t pod = 0; pod < pods.size(); ++pod) {
-      EXPECT_EQ(pods[pod].loadlimit, expected_.at(record.app)[pod].loadlimit);
-      EXPECT_EQ(pods[pod].slacklimit, expected_.at(record.app)[pod].slacklimit);
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all[0].app, LcAppKind::kSolr);
+    EXPECT_EQ(all[1].app, LcAppKind::kElgg);
+    for (const AppThresholds& record : all) {
+      const std::vector<ServpodThresholds>& pods = record.pods;
+      ASSERT_EQ(pods.size(), expected_.at(record.app).size());
+      for (size_t pod = 0; pod < pods.size(); ++pod) {
+        EXPECT_EQ(pods[pod].loadlimit, expected_.at(record.app)[pod].loadlimit);
+        EXPECT_EQ(pods[pod].slacklimit, expected_.at(record.app)[pod].slacklimit);
+      }
     }
-  }
+  });
 }
 
 }  // namespace

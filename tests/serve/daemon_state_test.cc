@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,17 +18,32 @@
 #include "src/cluster/app_thresholds.h"
 #include "src/common/file_io.h"
 #include "src/common/json.h"
+#include "tests/fresh_process.h"
 #include "tests/serve/http_client.h"
 
 namespace rhythm {
 namespace {
 
 using testing::Fetch;
+using testing::InFreshProcess;
 using testing::TestResponse;
 
+// This run's tag: the pid of the process that started the run. It goes
+// into the environment at start-up, before any test forks, so a
+// fresh-process child reads its parent's tag: a test and the children that
+// re-run it meet at one path, while separate runs stay apart.
+const std::string kRunTag = [] {
+  const char* inherited = std::getenv("RHYTHM_SERVE_TEST_RUN");
+  if (inherited != nullptr && *inherited != '\0') {
+    return std::string(inherited);
+  }
+  std::string own = std::to_string(::getpid());
+  ::setenv("RHYTHM_SERVE_TEST_RUN", own.c_str(), 1);
+  return own;
+}();
+
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          ("rhythm_serve_" + name + "_" + std::to_string(::getpid())))
+  return (std::filesystem::temp_directory_path() / ("rhythm_serve_" + name + "_" + kRunTag))
       .string();
 }
 
@@ -35,6 +54,51 @@ AppThresholds Record(LcAppKind app, std::vector<ServpodThresholds> pods) {
   record.contributions.resize(pods.size());
   record.pods = std::move(pods);
   return record;
+}
+
+// A record for `app` with its own pod count: the same limit pair and an
+// equal contribution on every pod.
+AppThresholds Uniform(LcAppKind app, double loadlimit, double slacklimit) {
+  const size_t pods = static_cast<size_t>(MakeApp(app).pod_count());
+  AppThresholds record = Record(app, std::vector<ServpodThresholds>(pods, {loadlimit, slacklimit}));
+  for (PodContribution& contribution : record.contributions) {
+    contribution.contribution = 1.0 / static_cast<double>(pods);
+    contribution.weight_p = 0.5;
+  }
+  return record;
+}
+
+// A "version":2 snapshot holding `records` and nothing else.
+std::string SnapshotOf(const std::vector<AppThresholds>& records) {
+  JsonWriter snapshot;
+  snapshot.BeginObject().Key("version").Int(2).Key("apps").BeginArray();
+  for (const AppThresholds& record : records) {
+    WriteThresholdRecord(record, &snapshot);
+  }
+  snapshot.EndArray().EndObject();
+  return std::move(snapshot).str();
+}
+
+// Points RHYTHM_THRESHOLD_CACHE at a new, empty directory (for the life of
+// the calling process) and returns it.
+std::string PrivateEmptyCache(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ::setenv("RHYTHM_THRESHOLD_CACHE", dir.c_str(), 1);
+  return dir;
+}
+
+bool SameLimits(const std::vector<ServpodThresholds>& a, const std::vector<ServpodThresholds>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t pod = 0; pod < a.size(); ++pod) {
+    if (a[pod].loadlimit != b[pod].loadlimit || a[pod].slacklimit != b[pod].slacklimit) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Files beside `path` named `<path>.tmp*`: staging files a save left behind.
@@ -50,53 +114,35 @@ int StagingSiblings(const std::string& path) {
   return count;
 }
 
-TEST(ThresholdStoreTest, GetMemoizesAndPutOverrides) {
-  ThresholdStore store;
-  const auto derived = store.Get(LcAppKind::kRedis);
-  const auto& cached = CachedAppThresholds(LcAppKind::kRedis).pods;
-  ASSERT_EQ(derived.size(), cached.size());
-  ASSERT_FALSE(derived.empty());
-  for (size_t i = 0; i < derived.size(); ++i) {
-    EXPECT_EQ(derived[i].loadlimit, cached[i].loadlimit);
-    EXPECT_EQ(derived[i].slacklimit, cached[i].slacklimit);
-  }
-
-  store.Put(Record(LcAppKind::kRedis, {{0.5, 0.25}}));
-  const auto fetched = store.Get(LcAppKind::kRedis);
-  ASSERT_EQ(fetched.size(), 1u);
-  EXPECT_DOUBLE_EQ(fetched[0].loadlimit, 0.5);
-  EXPECT_DOUBLE_EQ(fetched[0].slacklimit, 0.25);
-
-  const auto all = store.All();
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].app, LcAppKind::kRedis);
-}
-
 TEST(DaemonSnapshotTest, SaveRestoreRoundTripsThresholdsAndCounters) {
   const std::string path = TempPath("snapshot");
 
   DaemonOptions options;
   options.server.port = 0;
-  {
+  // Each side in its own process, as across a restart: the saving one has
+  // characterized exactly Solr and Redis, the restoring one nothing yet.
+  InFreshProcess([&] {
+    ASSERT_TRUE(FillAppThresholds(Record(LcAppKind::kSolr, {{0.7, 0.2}, {0.9, 0.1}})));
+    ASSERT_TRUE(FillAppThresholds(Record(LcAppKind::kRedis, {{0.6, 0.3}, {0.6, 0.3}})));
     RhythmDaemon daemon(options);
-    daemon.warm().Put(Record(LcAppKind::kSolr, {{0.7, 0.2}, {0.9, 0.1}}));
-    daemon.warm().Put(Record(LcAppKind::kRedis, {{0.6, 0.3}, {0.6, 0.3}}));
     std::string error;
     ASSERT_TRUE(daemon.SaveSnapshot(path, &error)) << error;
     // Staged write leaves no temp file behind.
     EXPECT_EQ(StagingSiblings(path), 0);
-  }
+  });
 
-  RhythmDaemon restored(options);
-  std::string error;
-  ASSERT_TRUE(restored.RestoreSnapshot(path, &error)) << error;
-  const auto solr = restored.warm().Get(LcAppKind::kSolr);
-  ASSERT_EQ(solr.size(), 2u);
-  EXPECT_DOUBLE_EQ(solr[0].loadlimit, 0.7);
-  EXPECT_DOUBLE_EQ(solr[1].slacklimit, 0.1);
-  const auto redis = restored.warm().Get(LcAppKind::kRedis);
-  ASSERT_EQ(redis.size(), 2u);
-  EXPECT_DOUBLE_EQ(redis[0].slacklimit, 0.3);
+  InFreshProcess([&] {
+    RhythmDaemon restored(options);
+    std::string error;
+    ASSERT_TRUE(restored.RestoreSnapshot(path, &error)) << error;
+    const auto& solr = CachedAppThresholds(LcAppKind::kSolr).pods;
+    ASSERT_EQ(solr.size(), 2u);
+    EXPECT_DOUBLE_EQ(solr[0].loadlimit, 0.7);
+    EXPECT_DOUBLE_EQ(solr[1].slacklimit, 0.1);
+    const auto& redis = CachedAppThresholds(LcAppKind::kRedis).pods;
+    ASSERT_EQ(redis.size(), 2u);
+    EXPECT_DOUBLE_EQ(redis[0].slacklimit, 0.3);
+  });
 
   std::remove(path.c_str());
 }
@@ -105,46 +151,45 @@ TEST(DaemonSnapshotTest, ConcurrentSavesToOnePathAllSucceed) {
   // Concurrent /v1/snapshot requests name one path; every save must land,
   // and none may take another's staging file.
   const std::string path = TempPath("concurrent");
-  DaemonOptions options;
-  options.server.port = 0;
-  RhythmDaemon daemon(options);
-  for (LcAppKind app : AllLcAppKinds()) {
-    std::vector<ServpodThresholds> pods;
-    for (int pod = 0; pod < 200; ++pod) {
-      pods.push_back({0.5 + pod / 1000.0, 0.1 + pod / 7000.0});
+  InFreshProcess([&] {
+    DaemonOptions options;
+    options.server.port = 0;
+    RhythmDaemon daemon(options);
+    for (LcAppKind app : AllLcAppKinds()) {
+      ASSERT_TRUE(FillAppThresholds(Uniform(app, 0.5 + static_cast<int>(app) / 1000.0,
+                                            0.1 + static_cast<int>(app) / 7000.0)));
     }
-    daemon.warm().Put(Record(app, pods));
-  }
 
-  constexpr int kThreads = 8;
-  constexpr int kSavesPerThread = 200;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kSavesPerThread; ++i) {
-        std::string error;
-        if (!daemon.SaveSnapshot(path, &error)) {
-          ++failures;
+    constexpr int kThreads = 8;
+    constexpr int kSavesPerThread = 200;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kSavesPerThread; ++i) {
+          std::string error;
+          if (!daemon.SaveSnapshot(path, &error)) {
+            ++failures;
+          }
         }
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
 
-  std::ifstream in(path);
-  std::stringstream text;
-  text << in.rdbuf();
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(ParseJson(text.str(), &doc, &error)) << error;
-  const JsonValue* apps = doc.Find("apps");
-  ASSERT_NE(apps, nullptr);
-  EXPECT_EQ(apps->array.size(), AllLcAppKinds().size());
-  EXPECT_EQ(StagingSiblings(path), 0);
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(ParseJson(text.str(), &doc, &error)) << error;
+    const JsonValue* apps = doc.Find("apps");
+    ASSERT_NE(apps, nullptr);
+    EXPECT_EQ(apps->array.size(), AllLcAppKinds().size());
+    EXPECT_EQ(StagingSiblings(path), 0);
+  });
   std::remove(path.c_str());
 }
 
@@ -152,72 +197,97 @@ TEST(DaemonSnapshotTest, ThresholdDoublesSurviveBitExactly) {
   const std::string path = TempPath("bits");
   DaemonOptions options;
   options.server.port = 0;
-  RhythmDaemon daemon(options);
   // Awkward doubles: only %.17g round-trips these exactly.
   const double loadlimit = 0.1 + 0.2;          // 0.30000000000000004
   const double slacklimit = 1.0 / 3.0;
-  daemon.warm().Put(Record(LcAppKind::kElgg, {{loadlimit, slacklimit},
-                                              {loadlimit, slacklimit},
-                                              {loadlimit, slacklimit}}));
-  std::string error;
-  ASSERT_TRUE(daemon.SaveSnapshot(path, &error)) << error;
+  InFreshProcess([&] {
+    RhythmDaemon daemon(options);
+    ASSERT_TRUE(FillAppThresholds(Record(LcAppKind::kElgg, {{loadlimit, slacklimit},
+                                                            {loadlimit, slacklimit},
+                                                            {loadlimit, slacklimit}})));
+    std::string error;
+    ASSERT_TRUE(daemon.SaveSnapshot(path, &error)) << error;
+  });
 
-  RhythmDaemon restored(options);
-  ASSERT_TRUE(restored.RestoreSnapshot(path, &error)) << error;
-  const auto pods = restored.warm().Get(LcAppKind::kElgg);
-  ASSERT_EQ(pods.size(), 3u);
-  EXPECT_EQ(pods[0].loadlimit, loadlimit);    // bit-equal, not approx.
-  EXPECT_EQ(pods[0].slacklimit, slacklimit);
+  InFreshProcess([&] {
+    RhythmDaemon restored(options);
+    std::string error;
+    ASSERT_TRUE(restored.RestoreSnapshot(path, &error)) << error;
+    const auto& pods = CachedAppThresholds(LcAppKind::kElgg).pods;
+    ASSERT_EQ(pods.size(), 3u);
+    EXPECT_EQ(pods[0].loadlimit, loadlimit);    // bit-equal, not approx.
+    EXPECT_EQ(pods[0].slacklimit, slacklimit);
+  });
   std::remove(path.c_str());
 }
 
 TEST(DaemonSnapshotTest, RestoreRejectsGarbageWithoutMutatingState) {
-  const std::string path = TempPath("garbage");
-  {
-    std::ofstream out(path);
-    out << "{\"version\":2,\"apps\":[{\"app\":\"NotAnApp\",\"pods\":[]}]}";
-  }
-  DaemonOptions options;
-  options.server.port = 0;
-  RhythmDaemon daemon(options);
-  std::string error;
-  EXPECT_FALSE(daemon.RestoreSnapshot(path, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_TRUE(daemon.warm().All().empty());  // nothing half-restored.
+  // In a fresh process, so the test starts with nothing characterized.
+  InFreshProcess([] {
+    const std::string path = TempPath("garbage");
+    {
+      std::ofstream out(path);
+      out << "{\"version\":2,\"apps\":[{\"app\":\"NotAnApp\",\"pods\":[]}]}";
+    }
+    DaemonOptions options;
+    options.server.port = 0;
+    RhythmDaemon daemon(options);
+    std::string error;
+    EXPECT_FALSE(daemon.RestoreSnapshot(path, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_TRUE(CharacterizedAppThresholds().empty());  // nothing half-restored.
 
-  {
-    std::ofstream out(path);
-    out << "not json at all";
-  }
-  EXPECT_FALSE(daemon.RestoreSnapshot(path, &error));
-  {
-    std::ofstream out(path);
-    out << "{\"version\":7}";
-  }
-  EXPECT_FALSE(daemon.RestoreSnapshot(path, &error));
-  EXPECT_NE(error.find("version"), std::string::npos);
+    {
+      std::ofstream out(path);
+      out << "not json at all";
+    }
+    EXPECT_FALSE(daemon.RestoreSnapshot(path, &error));
+    {
+      std::ofstream out(path);
+      out << "{\"version\":7}";
+    }
+    EXPECT_FALSE(daemon.RestoreSnapshot(path, &error));
+    EXPECT_NE(error.find("version"), std::string::npos);
 
-  // Counters are uint64s read exactly. -1 would wrap audit_seq to 2^64-1,
-  // so the next audit record would reuse whatif-1.jsonl; -3 would wrap a
-  // served count. Valid members beside a bad one are not applied either.
-  for (const char* snapshot :
-       {"{\"version\":2,\"audit_seq\":-1}",
+    // Counters are uint64s read exactly. -1 would wrap audit_seq to 2^64-1,
+    // so the next audit record would reuse whatif-1.jsonl; -3 would wrap a
+    // served count. An endpoint must be one the daemon serves: /metrics
+    // prints the name raw, so "x\"} 1\n…" would add a line
+    // rhythmd_injected_total 42. Valid members beside a bad one are not
+    // applied either, a valid Elgg record included.
+    const std::string injected =
+        "\"endpoints\":[{\"endpoint\":\"x\\\"} 1\\nrhythmd_injected_total 42\\n#\","
+        "\"served\":1,\"errors\":0}]";
+    std::string elgg_and_injected = SnapshotOf({Uniform(LcAppKind::kElgg, 0.5, 0.2)});
+    elgg_and_injected.insert(elgg_and_injected.size() - 1, "," + injected);
+    const std::string snapshots[] = {
+        "{\"version\":2,\"audit_seq\":-1}",
         "{\"version\":2,\"audit_seq\":5,"
         "\"endpoints\":[{\"endpoint\":\"whatif\",\"served\":-3,\"errors\":0}]}",
         "{\"version\":2,\"audit_seq\":5,\"endpoints\":[{\"served\":1,\"errors\":0}]}",
         "{\"version\":2,\"audit_seq\":5,\"endpoints\":[7]}",
-        "{\"version\":2,\"audit_seq\":1.5}"}) {
-    ASSERT_TRUE(WriteFile(path, snapshot));
-    error.clear();
-    EXPECT_FALSE(daemon.RestoreSnapshot(path, &error)) << snapshot;
-    EXPECT_FALSE(error.empty());
-  }
-  EXPECT_EQ(daemon.audit_seq(), 0u);
-  EXPECT_EQ(daemon.MetricsText().find("endpoint=\"whatif\""), std::string::npos);
-  EXPECT_TRUE(daemon.warm().All().empty());
+        "{\"version\":2,\"audit_seq\":1.5}",
+        "{\"version\":2," + injected + "}",
+        "{\"version\":2,\"audit_seq\":5,"
+        "\"endpoints\":[{\"endpoint\":\"whatif\",\"served\":1,\"errors\":0},"
+        "{\"endpoint\":\"whatiff\",\"served\":1,\"errors\":0}]}",
+        elgg_and_injected,
+    };
+    for (const std::string& snapshot : snapshots) {
+      ASSERT_TRUE(WriteFile(path, snapshot));
+      error.clear();
+      EXPECT_FALSE(daemon.RestoreSnapshot(path, &error)) << snapshot;
+      EXPECT_FALSE(error.empty());
+    }
+    EXPECT_EQ(daemon.audit_seq(), 0u);
+    const std::string metrics = daemon.MetricsText();
+    EXPECT_EQ(metrics.find("endpoint=\"whatif\""), std::string::npos);
+    EXPECT_EQ(metrics.find("rhythmd_injected_total"), std::string::npos) << metrics;
+    EXPECT_TRUE(CharacterizedAppThresholds().empty());
 
-  EXPECT_FALSE(daemon.RestoreSnapshot(TempPath("missing"), &error));
-  std::remove(path.c_str());
+    EXPECT_FALSE(daemon.RestoreSnapshot(TempPath("missing"), &error));
+    std::remove(path.c_str());
+  });
 }
 
 TEST(DaemonSnapshotTest, AuditSeqNeverRewinds) {
@@ -272,82 +342,238 @@ TEST(DaemonSnapshotTest, RestoreRejectsRecordsThatDoNotFitTheModel) {
   // Redis has two Servpods. A one-pod record is valid JSON, but restoring
   // it would make every later Redis what-if fail; a record with another
   // model's fingerprint would serve stale limits. Both fail the restore.
-  JsonWriter one_pod;
-  one_pod.BeginObject().Key("version").Int(2).Key("apps").BeginArray();
-  WriteThresholdRecord(Record(LcAppKind::kRedis, {{0.6, 0.3}}), &one_pod);
-  one_pod.EndArray().EndObject();
-  JsonWriter two_pods;
-  two_pods.BeginObject().Key("version").Int(2).Key("apps").BeginArray();
-  WriteThresholdRecord(Record(LcAppKind::kRedis, {{0.6, 0.3}, {0.6, 0.3}}), &two_pods);
-  two_pods.EndArray().EndObject();
-  std::string stale = two_pods.str();
-  const size_t fingerprint = stale.find("\"fingerprint\":\"") + 15;
-  stale.replace(fingerprint, 16, "0123456789abcdef");
+  InFreshProcess([] {
+    const std::string one_pod = SnapshotOf({Record(LcAppKind::kRedis, {{0.6, 0.3}})});
+    std::string stale = SnapshotOf({Record(LcAppKind::kRedis, {{0.6, 0.3}, {0.6, 0.3}})});
+    const size_t fingerprint = stale.find("\"fingerprint\":\"") + 15;
+    stale.replace(fingerprint, 16, "0123456789abcdef");
 
-  const std::string path = TempPath("mismatch");
-  DaemonOptions options;
-  options.server.port = 0;
-  RhythmDaemon daemon(options);
-  std::string error;
-  ASSERT_TRUE(daemon.Start(&error)) << error;
-  for (const std::string& snapshot : {one_pod.str(), stale}) {
-    ASSERT_TRUE(WriteFile(path, snapshot));
-    error.clear();
-    EXPECT_FALSE(daemon.RestoreSnapshot(path, &error)) << snapshot;
-    EXPECT_NE(error.find("Redis"), std::string::npos) << error;
-    const TestResponse restored =
-        Fetch(daemon.port(), "POST", "/v1/restore", "{\"path\":\"" + path + "\"}");
-    EXPECT_EQ(restored.status, 422) << restored.body;
-  }
-  daemon.Stop();
-  EXPECT_TRUE(daemon.warm().All().empty());
+    const std::string path = TempPath("mismatch");
+    DaemonOptions options;
+    options.server.port = 0;
+    RhythmDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.Start(&error)) << error;
+    for (const std::string& snapshot : {one_pod, stale}) {
+      ASSERT_TRUE(WriteFile(path, snapshot));
+      error.clear();
+      EXPECT_FALSE(daemon.RestoreSnapshot(path, &error)) << snapshot;
+      EXPECT_NE(error.find("Redis"), std::string::npos) << error;
+      const TestResponse restored =
+          Fetch(daemon.port(), "POST", "/v1/restore", "{\"path\":\"" + path + "\"}");
+      EXPECT_EQ(restored.status, 422) << restored.body;
+    }
+    EXPECT_TRUE(CharacterizedAppThresholds().empty());
 
-  // Redis what-ifs answer as if no snapshot had been offered.
-  const std::string body =
-      "{\"app\":\"Redis\",\"be\":\"wordcount\",\"seed\":7,"
-      "\"warmup_s\":2,\"measure_s\":8}";
-  WhatIfEvalOptions warmed;
-  warmed.warm = &daemon.warm();
-  EXPECT_EQ(EvalWhatIfJson(body, warmed), EvalWhatIfJson(body, WhatIfEvalOptions{}));
-  std::remove(path.c_str());
+    // Redis what-ifs answer as if no snapshot had been offered.
+    const std::string body =
+        "{\"app\":\"Redis\",\"be\":\"wordcount\",\"seed\":7,"
+        "\"warmup_s\":2,\"measure_s\":8}";
+    const TestResponse served = Fetch(daemon.port(), "POST", "/v1/whatif", body);
+    daemon.Stop();
+    EXPECT_EQ(served.status, 200) << served.body;
+    EXPECT_EQ(served.body, EvalWhatIfJson(body, WhatIfEvalOptions{}));
+    EXPECT_EQ(CachedAppThresholds(LcAppKind::kRedis).pods.size(), 2u);
+    std::remove(path.c_str());
+  });
 }
 
 TEST(DaemonSnapshotTest, HttpSnapshotRestoreEndpointsWork) {
-  const std::string path = TempPath("http");
+  InFreshProcess([] {
+    const std::string path = TempPath("http");
+    DaemonOptions options;
+    options.server.port = 0;
+    options.snapshot_path = path;
+    RhythmDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.Start(&error)) << error;
+    ASSERT_TRUE(FillAppThresholds(
+        Record(LcAppKind::kSnms, {{0.8, 0.12}, {0.8, 0.12}, {0.8, 0.12}})));
+
+    const TestResponse saved = Fetch(daemon.port(), "POST", "/v1/snapshot", "{}");
+    ASSERT_EQ(saved.status, 200) << saved.body;
+    EXPECT_NE(saved.body.find("\"apps\":1"), std::string::npos) << saved.body;
+    ASSERT_TRUE(std::filesystem::exists(path));
+
+    const TestResponse restored =
+        Fetch(daemon.port(), "POST", "/v1/restore", "{\"path\":\"" + path + "\"}");
+    EXPECT_EQ(restored.status, 200) << restored.body;
+    EXPECT_NE(restored.body.find("\"apps\":1"), std::string::npos) << restored.body;
+
+    // A missing file is the client's problem, not a crash.
+    const TestResponse missing =
+        Fetch(daemon.port(), "POST", "/v1/restore", "{\"path\":\"" + TempPath("nope") + "\"}");
+    EXPECT_EQ(missing.status, 422);
+
+    // No default and no explicit path: actionable 4xx.
+    DaemonOptions bare;
+    bare.server.port = 0;
+    RhythmDaemon no_default(bare);
+    ASSERT_TRUE(no_default.Start(&error)) << error;
+    EXPECT_EQ(Fetch(no_default.port(), "POST", "/v1/snapshot", "{}").status, 422);
+    no_default.Stop();
+
+    daemon.Stop();
+    std::remove(path.c_str());
+  });
+}
+
+// A small cluster what-if placing one group of `app`.
+std::string ClusterBody(const std::string& app) {
+  return "{\"kind\":\"cluster\",\"machines\":4,\"policy\":\"rhythm-aware\",\"seed\":3,"
+         "\"warmup_s\":1,\"measure_s\":2,\"lc_demand\":[{\"app\":\"" +
+         app + "\",\"count\":1,\"load\":0.4}],\"be_backlog\":[{\"be\":\"wordcount\",\"weight\":1}]}";
+}
+
+TEST(DaemonSnapshotTest, RestoredAppsAnswerWithoutCharacterizing) {
+  // Restored records are the process's records: cluster what-ifs and
+  // /v1/placements read them, and an empty disk cache stays empty.
+  InFreshProcess([] {
+    const std::string cache = PrivateEmptyCache("restored_cache");
+    std::vector<AppThresholds> records;
+    for (LcAppKind app : AllLcAppKinds()) {
+      records.push_back(Uniform(app, 0.6 + 0.01 * static_cast<int>(app), 0.2));
+    }
+    const std::string path = TempPath("restored");
+    ASSERT_TRUE(WriteFile(path, SnapshotOf(records)));
+
+    DaemonOptions options;
+    options.server.port = 0;
+    RhythmDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.RestoreSnapshot(path, &error)) << error;  // as --restore does.
+    ASSERT_TRUE(daemon.Start(&error)) << error;
+    const TestResponse placements = Fetch(daemon.port(), "GET", "/v1/placements", "");
+    const TestResponse cluster =
+        Fetch(daemon.port(), "POST", "/v1/whatif", ClusterBody("Redis"));
+    daemon.Stop();
+    EXPECT_EQ(placements.status, 200) << placements.body;
+    EXPECT_NE(placements.body.find("\"app\":\"Elasticsearch\""), std::string::npos);
+    EXPECT_EQ(cluster.status, 200) << cluster.body;
+    EXPECT_TRUE(std::filesystem::is_empty(cache)) << "a restored app was characterized again";
+    for (const AppThresholds& record : records) {
+      SCOPED_TRACE(LcAppKindName(record.app));
+      EXPECT_TRUE(SameLimits(CachedAppThresholds(record.app).pods, record.pods));
+    }
+    std::filesystem::remove_all(cache);
+    std::remove(path.c_str());
+  });
+}
+
+TEST(DaemonSnapshotTest, AppFirstCharacterizedByAClusterWhatIfIsSnapshotted) {
+  InFreshProcess([] {
+    const std::string path = TempPath("cluster");
+    DaemonOptions options;
+    options.server.port = 0;
+    RhythmDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.Start(&error)) << error;
+    const TestResponse cluster = Fetch(daemon.port(), "POST", "/v1/whatif", ClusterBody("Elgg"));
+    EXPECT_EQ(cluster.status, 200) << cluster.body;
+    const TestResponse saved =
+        Fetch(daemon.port(), "POST", "/v1/snapshot", "{\"path\":\"" + path + "\"}");
+    daemon.Stop();
+    ASSERT_EQ(saved.status, 200) << saved.body;
+    EXPECT_NE(saved.body.find("\"apps\":1"), std::string::npos) << saved.body;
+
+    std::string text;
+    ASSERT_TRUE(ReadFile(path, &text));
+    JsonValue doc;
+    ASSERT_TRUE(ParseJson(text, &doc, &error)) << error;
+    const JsonValue* apps = doc.Find("apps");
+    ASSERT_NE(apps, nullptr);
+    ASSERT_EQ(apps->array.size(), 1u);
+    AppThresholds saved_elgg;
+    ASSERT_TRUE(ReadThresholdRecord(apps->array[0], &saved_elgg, &error)) << error;
+    EXPECT_EQ(saved_elgg.app, LcAppKind::kElgg);
+    EXPECT_TRUE(SameLimits(saved_elgg.pods, CachedAppThresholds(LcAppKind::kElgg).pods));
+    std::remove(path.c_str());
+  });
+}
+
+TEST(DaemonSnapshotTest, RestoreKeepsTheLiveRecordOfACharacterizedApp) {
+  // First fill wins: a restore cannot swap the limits under references
+  // already handed out, so served bodies keep equalling --oneshot's.
+  const AppThresholds& live = CachedAppThresholds(LcAppKind::kElgg);
+  const std::vector<ServpodThresholds> live_pods = live.pods;
+  AppThresholds other = Uniform(LcAppKind::kElgg, 0.5, 0.2);
+  ASSERT_FALSE(SameLimits(other.pods, live_pods));
+  const std::string path = TempPath("live");
+  ASSERT_TRUE(WriteFile(path, SnapshotOf({other})));
+
   DaemonOptions options;
   options.server.port = 0;
-  options.snapshot_path = path;
   RhythmDaemon daemon(options);
   std::string error;
   ASSERT_TRUE(daemon.Start(&error)) << error;
-  daemon.warm().Put(Record(LcAppKind::kSnms, {{0.8, 0.12}, {0.8, 0.12}, {0.8, 0.12}}));
-
-  const TestResponse saved = Fetch(daemon.port(), "POST", "/v1/snapshot", "{}");
-  ASSERT_EQ(saved.status, 200) << saved.body;
-  EXPECT_NE(saved.body.find("\"apps\":1"), std::string::npos) << saved.body;
-  ASSERT_TRUE(std::filesystem::exists(path));
-
   const TestResponse restored =
-      Fetch(daemon.port(), "POST", "/v1/restore",
-            "{\"path\":\"" + path + "\"}");
+      Fetch(daemon.port(), "POST", "/v1/restore", "{\"path\":\"" + path + "\"}");
   EXPECT_EQ(restored.status, 200) << restored.body;
+  EXPECT_EQ(&CachedAppThresholds(LcAppKind::kElgg), &live);
+  EXPECT_TRUE(SameLimits(live.pods, live_pods));
 
-  // A missing file is the client's problem, not a crash.
-  const TestResponse missing =
-      Fetch(daemon.port(), "POST", "/v1/restore",
-            "{\"path\":\"" + TempPath("nope") + "\"}");
-  EXPECT_EQ(missing.status, 422);
-
-  // No default and no explicit path: actionable 4xx.
-  DaemonOptions bare;
-  bare.server.port = 0;
-  RhythmDaemon no_default(bare);
-  ASSERT_TRUE(no_default.Start(&error)) << error;
-  EXPECT_EQ(Fetch(no_default.port(), "POST", "/v1/snapshot", "{}").status, 422);
-  no_default.Stop();
-
+  const std::string body =
+      "{\"app\":\"Elgg\",\"be\":\"wordcount\",\"seed\":7,\"warmup_s\":2,\"measure_s\":8}";
+  const TestResponse served = Fetch(daemon.port(), "POST", "/v1/whatif", body);
   daemon.Stop();
+  ASSERT_EQ(served.status, 200) << served.body;
+  EXPECT_EQ(served.body, EvalWhatIfJson(body, WhatIfEvalOptions{}));
   std::remove(path.c_str());
+}
+
+TEST(DaemonRestoreRaceTest, RestoreRacingAWhatIfForTheSameApp) {
+  // Elgg is cold in a fresh process with an empty disk cache, so the
+  // what-ifs derive it while the restore offers a record for it. Whichever
+  // fills the slot first, every query reads that one record.
+  InFreshProcess([] {
+    const std::string cache = PrivateEmptyCache("race_cache");
+    const AppThresholds offered = Uniform(LcAppKind::kElgg, 0.5, 0.2);
+    const std::string path = TempPath("race");
+    ASSERT_TRUE(WriteFile(path, SnapshotOf({offered})));
+    const std::string saved = TempPath("race_saved");
+
+    DaemonOptions options;
+    options.server.port = 0;
+    RhythmDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.Start(&error)) << error;
+    const std::string body =
+        "{\"app\":\"Elgg\",\"be\":\"wordcount\",\"seed\":7,\"warmup_s\":2,\"measure_s\":8}";
+    const struct {
+      const char* path;
+      std::string body;
+    } requests[] = {{"/v1/whatif", body},
+                    {"/v1/restore", "{\"path\":\"" + path + "\"}"},
+                    {"/v1/whatif", body},
+                    {"/v1/snapshot", "{\"path\":\"" + saved + "\"}"}};
+    std::vector<TestResponse> responses(std::size(requests));
+    std::latch start(static_cast<std::ptrdiff_t>(std::size(requests)));
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < std::size(requests); ++i) {
+      clients.emplace_back([&, i] {
+        start.arrive_and_wait();
+        responses[i] = Fetch(daemon.port(), "POST", requests[i].path, requests[i].body);
+      });
+    }
+    for (std::thread& client : clients) {
+      client.join();
+    }
+    daemon.Stop();
+    for (size_t i = 0; i < responses.size(); ++i) {
+      EXPECT_EQ(responses[i].status, 200) << requests[i].path << ": " << responses[i].body;
+    }
+
+    const AppThresholds& elgg = CachedAppThresholds(LcAppKind::kElgg);
+    const bool derived = !elgg.profile.levels.empty();
+    EXPECT_TRUE(derived || SameLimits(elgg.pods, offered.pods));
+    EXPECT_EQ(responses[0].body, responses[2].body);
+    EXPECT_EQ(responses[0].body, EvalWhatIfJson(body, WhatIfEvalOptions{}));
+    ASSERT_EQ(CharacterizedAppThresholds().size(), 1u);
+    EXPECT_TRUE(SameLimits(CharacterizedAppThresholds()[0].pods, elgg.pods));
+    std::filesystem::remove_all(cache);
+    std::remove(path.c_str());
+    std::remove(saved.c_str());
+  });
 }
 
 TEST(DaemonAuditTest, AuditRecordingsLandPerQuery) {

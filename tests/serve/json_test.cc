@@ -196,5 +196,16 @@ TEST(JsonRoundTripTest, WriterOutputReparsesExactly) {
   ASSERT_EQ(doc.Find("list")->array.size(), 3u);
 }
 
+TEST(JsonNumberTest, KeepsTheLiteralOfIntegersOnly) {
+  const JsonValue doc = MustParse("[12,-0,1.5,1e3,2E-1]");
+  EXPECT_EQ(doc.array[0].string, "12");
+  EXPECT_EQ(doc.array[1].string, "-0");
+  for (size_t i = 2; i < doc.array.size(); ++i) {
+    EXPECT_TRUE(doc.array[i].string.empty()) << i;
+    int64_t integer = 0;
+    EXPECT_FALSE(doc.array[i].GetInt(&integer)) << i;
+  }
+}
+
 }  // namespace
 }  // namespace rhythm

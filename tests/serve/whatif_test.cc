@@ -299,15 +299,6 @@ TEST(WhatIfEvalTest, TrialMatchesBatchRunBitExactly) {
   EXPECT_EQ(served, EvalWhatIfJson(kTrialBody, options));
 }
 
-TEST(WhatIfEvalTest, WarmStoreDoesNotChangeTheBytes) {
-  WhatIfEvalOptions cold;
-  const std::string without = EvalWhatIfJson(kTrialBody, cold);
-  ThresholdStore store;
-  WhatIfEvalOptions warmed;
-  warmed.warm = &store;
-  EXPECT_EQ(EvalWhatIfJson(kTrialBody, warmed), without);
-}
-
 TEST(WhatIfEvalTest, ClusterMatchesBatchRunBitExactly) {
   const std::string body =
       "{\"kind\":\"cluster\",\"machines\":6,\"policy\":\"rhythm-aware\","

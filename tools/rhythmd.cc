@@ -32,7 +32,6 @@
 #include <signal.h>
 
 #include <cstdio>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,13 +78,10 @@ bool ParsePrewarmList(const std::string& list, std::vector<LcAppKind>* out) {
 
 int OneShot(const std::string& file, const RunnerOptions& runner) {
   std::string body;
-  if (file == "-") {
-    std::stringstream buffer;
-    buffer << std::cin.rdbuf();
-    body = buffer.str();
-  } else if (!ReadFile(file, &body)) {
-    // A directory fails here too: an empty body would mean "all defaults".
-    std::fprintf(stderr, "rhythmd: cannot open %s\n", file.c_str());
+  // A directory fails here too, as a file or as stdin: an empty body would
+  // mean "all defaults".
+  if (file == "-" ? !ReadFd(0, &body) : !ReadFile(file, &body)) {
+    std::fprintf(stderr, "rhythmd: cannot read %s\n", file == "-" ? "stdin" : file.c_str());
     return 1;
   }
   WhatIfEvalOptions options;
