@@ -1,88 +1,183 @@
 #include "src/cluster/app_thresholds.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "src/cluster/deployment.h"
 #include "src/cluster/metrics.h"
+#include "src/common/env.h"
 #include "src/common/file_io.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
+#include "src/common/shard_pool.h"
 
 namespace rhythm {
 
-AppThresholds DeriveAppThresholds(LcAppKind app_kind, const ThresholdOptions& options) {
+bool SlacklimitProbeViolates(LcAppKind app, const std::vector<ServpodThresholds>& thresholds,
+                             double load, BeJobKind be, uint64_t seed,
+                             const ThresholdOptions& options) {
+  DeploymentConfig config;
+  config.app_kind = app;
+  config.be_kind = be;
+  config.controller = ControllerKind::kRhythm;
+  config.thresholds = thresholds;
+  config.seed = seed;
+  Deployment deployment(config);
+  const ConstantLoad profile(load);
+  deployment.Start(&profile);
+  deployment.RunFor(options.probe_warmup_s);
+  const double t0 = deployment.sim().Now();
+  const uint64_t violations_before = deployment.TotalSlaViolations();
+  deployment.RunFor(options.probe_measure_s);
+  if (deployment.TotalSlaViolations() > violations_before) {
+    return true;
+  }
+  // A probe that merely grazes the SLA is already too aggressive: the
+  // worst per-second tail of a longer production run would cross it.
+  const double worst = deployment.tail_series().MaxIn(t0, deployment.sim().Now());
+  return worst > 0.96 * deployment.sla_ms();
+}
+
+namespace {
+
+// One app's state in a derivation plan: filled by its phase-1 task, then
+// read by its probe tasks.
+struct AppPlan {
   AppThresholds result;
-  result.app = app_kind;
-  const AppSpec app = MakeApp(app_kind);
-  const int pods = app.pod_count();
+  std::optional<SpeculativeSlacklimitSearch> search;
+};
 
-  // 1. Solo profile (request tracer on).
-  result.profile = ProfileSolo(app_kind, DefaultProfileLevels(), options.profile);
+// Probe `probe` of Algorithm 1 iteration `iteration` for the plan's app
+// `app`; `probe` indexes probe_loads × probe_bes, loads outer.
+struct ProbeTask {
+  size_t app;
+  int iteration;
+  size_t probe;
+};
 
-  // 2. Contributions (Eq. 1-5).
-  result.contributions = AnalyzeContributions(result.profile.matrix, app.call_root);
-  const std::vector<double> normalized = NormalizedContributions(result.contributions);
+// Runs task(i) for every i in [0, count) on `pool`; shards claim indices in
+// increasing order. Returns each task's exception, null where it returned.
+std::vector<std::exception_ptr> RunTasks(ShardPool& pool, size_t count,
+                                         const std::function<void(size_t)>& task) {
+  std::atomic<size_t> next{0};
+  std::vector<std::exception_ptr> errors(count);
+  pool.RunPhase([&](int) {
+    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  });
+  return errors;
+}
 
-  // 3. loadlimit per pod from the CoV curves (Figure 8 rule).
-  result.pods.resize(pods);
-  for (int pod = 0; pod < pods; ++pod) {
-    result.pods[pod].loadlimit =
-        DeriveLoadlimit(result.profile.levels, result.profile.pod_cov[pod]);
+}  // namespace
+
+std::vector<AppThresholds> DeriveAppThresholds(const std::vector<LcAppKind>& apps,
+                                               const ThresholdOptions& options) {
+  const size_t probes = options.probe_loads.size() * options.probe_bes.size();
+  // Wide enough for the larger phase, never wider than it can use.
+  const size_t most_tasks =
+      apps.size() * std::max<size_t>(1, probes * std::max(options.max_iterations, 0));
+  ShardPool pool(static_cast<int>(std::min<size_t>(DefaultJobCount(), most_tasks)));
+  std::vector<AppPlan> plans(apps.size());
+
+  // Phase 1, one task per app: the solo profile (request tracer on), the
+  // contributions (Eq. 1-5), the loadlimits from the CoV curves (Figure 8
+  // rule) and Algorithm 1's candidate slacklimits. A profile stays one
+  // task: its levels' tail windows would be resident at once otherwise.
+  const std::vector<std::exception_ptr> profile_errors = RunTasks(pool, apps.size(), [&](size_t i) {
+    const AppSpec app = MakeApp(apps[i]);
+    AppThresholds& result = plans[i].result;
+    result.app = apps[i];
+    result.profile = ProfileSolo(apps[i], DefaultProfileLevels(), options.profile);
+    result.contributions = AnalyzeContributions(result.profile.matrix, app.call_root);
+    result.pods.resize(app.pod_count());
+    for (int pod = 0; pod < app.pod_count(); ++pod) {
+      result.pods[pod].loadlimit =
+          DeriveLoadlimit(result.profile.levels, result.profile.pod_cov[pod]);
+    }
+    plans[i].search.emplace(NormalizedContributions(result.contributions),
+                            options.max_iterations);
+  });
+  for (const std::exception_ptr& error : profile_errors) {  // list order.
+    if (error) {
+      std::rethrow_exception(error);
+    }
   }
 
-  // 4. slacklimit via Algorithm 1. Each probe runs the co-location with the
-  //    candidate limits and reports whether the SLA was violated.
-  uint64_t probe_seed = options.profile.seed * 7919;
-  const auto probe_once = [&](const std::vector<double>& slacklimits, double load,
-                              BeJobKind be) {
-    DeploymentConfig config;
-    config.app_kind = app_kind;
-    config.be_kind = be;
-    config.controller = ControllerKind::kRhythm;
-    config.thresholds.resize(pods);
-    for (int pod = 0; pod < pods; ++pod) {
-      config.thresholds[pod].loadlimit = result.pods[pod].loadlimit;
-      config.thresholds[pod].slacklimit = slacklimits[pod];
-    }
-    config.seed = ++probe_seed;
-    Deployment deployment(config);
-    const ConstantLoad profile(load);
-    deployment.Start(&profile);
-    deployment.RunFor(options.probe_warmup_s);
-    const double t0 = deployment.sim().Now();
-    const uint64_t violations_before = deployment.TotalSlaViolations();
-    deployment.RunFor(options.probe_measure_s);
-    if (deployment.TotalSlaViolations() > violations_before) {
-      return true;
-    }
-    // A probe that merely grazes the SLA is already too aggressive: the
-    // worst per-second tail of a longer production run would cross it.
-    const double worst = deployment.tail_series().MaxIn(t0, deployment.sim().Now());
-    return worst > 0.96 * deployment.sla_ms();
-  };
-  const SlaProbe probe = [&](const std::vector<double>& slacklimits) {
-    for (double load : options.probe_loads) {
-      for (BeJobKind be : options.probe_bes) {
-        if (probe_once(slacklimits, load, be)) {
-          return true;
+  // Phase 2, one task per (app, iteration, probe), iteration-major and apps
+  // in list order, so the lowest iterations, which decide every answer, run
+  // first. Probe j of iteration i takes the seed the serial chain gives it
+  // (every iteration before the violating one runs all its probes there),
+  // and a task past its app's lowest violating iteration is skipped.
+  std::vector<ProbeTask> tasks;
+  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
+    for (size_t app = 0; app < apps.size(); ++app) {
+      if (iteration <= plans[app].search->iterations()) {
+        for (size_t probe = 0; probe < probes; ++probe) {
+          tasks.push_back({app, iteration, probe});
         }
       }
     }
-    return false;
-  };
-  const std::vector<double> slacklimits =
-      FindSlacklimits(normalized, probe, options.max_iterations);
-  for (int pod = 0; pod < pods; ++pod) {
-    result.pods[pod].slacklimit = slacklimits[pod];
   }
-  return result;
+  const uint64_t first_seed = options.profile.seed * 7919;
+  const std::vector<std::exception_ptr> probe_errors = RunTasks(pool, tasks.size(), [&](size_t t) {
+    const ProbeTask& task = tasks[t];
+    AppPlan& plan = plans[task.app];
+    if (!plan.search->Open(task.iteration)) {
+      return;
+    }
+    std::vector<ServpodThresholds> thresholds = plan.result.pods;
+    const std::vector<double>& slacklimits = plan.search->candidate(task.iteration);
+    for (size_t pod = 0; pod < thresholds.size(); ++pod) {
+      thresholds[pod].slacklimit = slacklimits[pod];
+    }
+    const uint64_t seed = first_seed + probes * static_cast<uint64_t>(task.iteration - 1) +
+                          task.probe + 1;
+    if (SlacklimitProbeViolates(plan.result.app, thresholds,
+                                options.probe_loads[task.probe / options.probe_bes.size()],
+                                options.probe_bes[task.probe % options.probe_bes.size()],
+                                seed, options)) {
+      plan.search->Violated(task.iteration);
+    }
+  });
+  // The earliest listed app's failure, and its first in task order.
+  size_t failed = tasks.size();
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    if (probe_errors[t] && (failed == tasks.size() || tasks[t].app < tasks[failed].app)) {
+      failed = t;
+    }
+  }
+  if (failed < tasks.size()) {
+    std::rethrow_exception(probe_errors[failed]);
+  }
+
+  std::vector<AppThresholds> results;
+  for (AppPlan& plan : plans) {
+    const std::vector<double> slacklimits = plan.search->Result();
+    for (size_t pod = 0; pod < plan.result.pods.size(); ++pod) {
+      plan.result.pods[pod].slacklimit = slacklimits[pod];
+    }
+    results.push_back(std::move(plan.result));
+  }
+  return results;
+}
+
+AppThresholds DeriveAppThresholds(LcAppKind app, const ThresholdOptions& options) {
+  return std::move(DeriveAppThresholds(std::vector<LcAppKind>{app}, options).front());
 }
 
 namespace {
@@ -261,75 +356,108 @@ void SaveThresholdsToDisk(const std::string& path, const AppThresholds& threshol
 
 namespace {
 
-// One app's place in the process-wide cache: `once` fills `value` exactly
-// once, then `filled` publishes it to readers that must not wait on a
-// derivation in progress.
+// One app's place in the process-wide cache. `value` is written once,
+// under `mutex`, and then `filled` publishes it: a reader that sees it set
+// reads `value` with no lock, and one that must not wait on a derivation
+// in progress checks it alone.
 struct Slot {
-  std::once_flag once;
+  std::mutex mutex;
   std::atomic<bool> filled{false};
   AppThresholds value;
 };
 
 // A fixed slot per catalog app, never moved, so callers racing on one app
-// block on its call_once while callers for different apps load or derive
-// concurrently — a RunPlan touching five services characterizes them all
-// in parallel.
+// wait on its mutex while callers for different apps load or derive
+// concurrently.
 Slot& SlotOf(LcAppKind app) {
   static Slot* slots = new Slot[AllLcAppKinds().size()];
   RHYTHM_CHECK(static_cast<size_t>(app) < AllLcAppKinds().size());
   return slots[static_cast<size_t>(app)];
 }
 
-// Fills `slot` with make() unless it is filled already; true when this call
-// filled it.
-template <typename Make>
-bool FillOnce(Slot& slot, Make make) {
-  bool filled = false;
-  std::call_once(slot.once, [&] {
-    slot.value = make();
-    slot.filled.store(true);
-    filled = true;
-  });
-  return filled;
+void Publish(Slot& slot, AppThresholds value) {
+  slot.value = std::move(value);
+  slot.filled.store(true);
 }
 
-AppThresholds LoadOrDerive(LcAppKind app) {
-  const std::string path = ThresholdDiskCachePath(app);
-  AppThresholds loaded;
-  if (!path.empty() && LoadThresholdsFromDisk(path, MakeApp(app).pod_count(), &loaded)) {
-    if (loaded.app == app) {
-      RHYTHM_LOG(kInfo) << "Loaded thresholds for " << LcAppKindName(app) << " from " << path;
-      return loaded;
-    }
-    RHYTHM_LOG(kWarning) << "Rejected threshold cache entry " << path << ": it holds "
-                         << LcAppKindName(loaded.app) << ", not " << LcAppKindName(app);
-  }
-  RHYTHM_LOG(kInfo) << "Deriving thresholds for " << LcAppKindName(app);
-  AppThresholds derived = DeriveAppThresholds(app);
-  if (!path.empty()) {
-    SaveThresholdsToDisk(path, derived);
-  }
-  return derived;
-}
+bool Filled(LcAppKind app) { return SlotOf(app).filled.load(); }
 
 }  // namespace
 
+void CacheAppThresholds(const std::vector<LcAppKind>& apps) {
+  std::vector<LcAppKind> cold;  // distinct, in list order.
+  for (LcAppKind app : apps) {
+    if (!Filled(app) && std::find(cold.begin(), cold.end(), app) == cold.end()) {
+      cold.push_back(app);
+    }
+  }
+  if (cold.empty()) {
+    return;
+  }
+  // Hold every cold slot for the whole load-or-derive, taken in enum order
+  // so that two callers sharing apps never deadlock.
+  std::vector<LcAppKind> lock_order = cold;
+  std::sort(lock_order.begin(), lock_order.end());
+  std::vector<std::unique_lock<std::mutex>> locks;
+  for (LcAppKind app : lock_order) {
+    locks.emplace_back(SlotOf(app).mutex);
+  }
+
+  std::vector<LcAppKind> derive;
+  for (LcAppKind app : cold) {
+    if (Filled(app)) {
+      continue;  // another caller filled it while this one waited.
+    }
+    const std::string path = ThresholdDiskCachePath(app);
+    AppThresholds loaded;
+    if (!path.empty() && LoadThresholdsFromDisk(path, MakeApp(app).pod_count(), &loaded)) {
+      if (loaded.app == app) {
+        RHYTHM_LOG(kInfo) << "Loaded thresholds for " << LcAppKindName(app) << " from " << path;
+        Publish(SlotOf(app), std::move(loaded));
+        continue;
+      }
+      RHYTHM_LOG(kWarning) << "Rejected threshold cache entry " << path << ": it holds "
+                           << LcAppKindName(loaded.app) << ", not " << LcAppKindName(app);
+    }
+    RHYTHM_LOG(kInfo) << "Deriving thresholds for " << LcAppKindName(app);
+    derive.push_back(app);
+  }
+  if (derive.empty()) {
+    return;  // no pool is built when nothing needs deriving.
+  }
+  std::vector<AppThresholds> derived = DeriveAppThresholds(derive);
+  for (AppThresholds& record : derived) {
+    const std::string path = ThresholdDiskCachePath(record.app);
+    if (!path.empty()) {
+      SaveThresholdsToDisk(path, record);
+    }
+    Publish(SlotOf(record.app), std::move(record));
+  }
+}
+
 const AppThresholds& CachedAppThresholds(LcAppKind app) {
-  Slot& slot = SlotOf(app);
-  FillOnce(slot, [app] { return LoadOrDerive(app); });
-  return slot.value;
+  if (!Filled(app)) {  // the lock-free fast path every trial build takes.
+    CacheAppThresholds({app});
+  }
+  return SlotOf(app).value;
 }
 
 bool FillAppThresholds(AppThresholds record) {
-  return FillOnce(SlotOf(record.app), [&record] { return std::move(record); });
+  Slot& slot = SlotOf(record.app);
+  const std::lock_guard<std::mutex> lock(slot.mutex);  // waits for a derivation.
+  if (slot.filled.load()) {
+    return false;
+  }
+  Publish(slot, std::move(record));
+  return true;
 }
 
 std::vector<AppThresholds> CharacterizedAppThresholds() {
   std::vector<AppThresholds> records;
   for (LcAppKind app : AllLcAppKinds()) {  // enum order.
-    const Slot& slot = SlotOf(app);
-    if (slot.filled.load()) {
-      records.push_back({app, slot.value.pods, slot.value.contributions, {}});
+    if (Filled(app)) {
+      const AppThresholds& value = SlotOf(app).value;
+      records.push_back({app, value.pods, value.contributions, {}});
     }
   }
   return records;

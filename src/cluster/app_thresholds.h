@@ -1,9 +1,16 @@
-// End-to-end threshold derivation for one LC application: profile solo ->
+// End-to-end threshold derivation for LC applications: profile solo ->
 // contributions -> loadlimits (CoV rule) -> slacklimits (Algorithm 1 with a
 // mixed-BE probe). This is the one-time characterization Rhythm performs
 // when a new LC service is deployed (§3.2), the one place a process keeps
 // it (CachedAppThresholds), and the one JSON record that stores it on disk
 // and in rhythmd snapshots.
+//
+// A derivation is one two-phase plan on one ShardPool, however many apps it
+// covers: phase 1 profiles each app solo (one task per app), phase 2 runs
+// every (app, iteration, probe) of Algorithm 1 as its own task, skipping
+// those past the app's lowest violating iteration found so far. Each probe
+// keeps its serial seed, so the result equals the serial search bit for
+// bit at any width (DESIGN.md §8).
 
 #ifndef RHYTHM_SRC_CLUSTER_APP_THRESHOLDS_H_
 #define RHYTHM_SRC_CLUSTER_APP_THRESHOLDS_H_
@@ -41,7 +48,25 @@ struct ThresholdOptions {
   int max_iterations = 16;
 };
 
+// Characterizes `apps`, in list order, as one plan on min(DefaultJobCount(),
+// tasks) shards (one shard inside another pool's phase). When a phase
+// fails, the earliest listed app's exception is rethrown.
+std::vector<AppThresholds> DeriveAppThresholds(const std::vector<LcAppKind>& apps,
+                                               const ThresholdOptions& options = {});
+// A one-app plan.
 AppThresholds DeriveAppThresholds(LcAppKind app, const ThresholdOptions& options = {});
+
+// One Algorithm 1 probe (the run_system step): runs `app` under the Rhythm
+// controller at per-pod `thresholds` (loadlimits and candidate slacklimits)
+// beside BE `be` at constant `load`, and reports whether the SLA was
+// violated, or grazed (worst per-second tail above 96% of it), during the
+// measure window. Probe j of iteration i of a derivation runs
+// probe_loads[j / |BEs|] with probe_bes[j % |BEs|] and seed
+// profile.seed * 7919 + P * (i - 1) + j + 1, P = |loads| * |BEs|: the seed
+// the serial search, which draws one per probe in that order, gives it.
+bool SlacklimitProbeViolates(LcAppKind app, const std::vector<ServpodThresholds>& thresholds,
+                             double load, BeJobKind be, uint64_t seed,
+                             const ThresholdOptions& options);
 
 // The process's one threshold cache (as in the paper, each LC service is
 // characterized once and every decision reuses it): every trial, placement
@@ -55,15 +80,23 @@ AppThresholds DeriveAppThresholds(LcAppKind app, const ThresholdOptions& options
 //
 // Thread-safe: concurrent callers for the same app block until one of them
 // finishes the load-or-derive exactly once; callers for different apps
-// derive in parallel (the parallel experiment runner depends on this). An
-// app's record, once there, never changes, so the returned reference stays
-// valid for the process lifetime.
+// derive in parallel (the parallel experiment runner depends on this). A
+// cached app costs one atomic load, with no lock. An app's record, once
+// there, never changes, so the returned reference stays valid for the
+// process lifetime.
 const AppThresholds& CachedAppThresholds(LcAppKind app);
+
+// CachedAppThresholds for several apps at once (rhythmd's --prewarm): the
+// distinct listed apps not cached yet load from the disk cache on the
+// calling thread, and the rest derive as one DeriveAppThresholds plan, so
+// their probes share one pool. No pool is built when nothing needs
+// deriving. Holds every listed cold app's slot until it is filled.
+void CacheAppThresholds(const std::vector<LcAppKind>& apps);
 
 // Puts an already-validated record (a restored rhythmd snapshot's) in the
 // cache unless this process has characterized record.app already: first
-// fill wins, and a fill waits for a derivation in progress. True when
-// `record` went in.
+// fill wins, and a fill waits for a load or derivation in progress. True
+// when `record` went in.
 bool FillAppThresholds(AppThresholds record);
 
 // A copy of every characterized app's record, in enum order and without

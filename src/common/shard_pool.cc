@@ -3,9 +3,25 @@
 #include <algorithm>
 
 namespace rhythm {
+namespace {
+
+// True while this thread runs some pool's phase function.
+thread_local bool in_phase = false;
+
+// Marks the calling thread as inside a phase for its lifetime.
+class PhaseScope {
+ public:
+  PhaseScope() : outer_(in_phase) { in_phase = true; }
+  ~PhaseScope() { in_phase = outer_; }
+
+ private:
+  const bool outer_;
+};
+
+}  // namespace
 
 ShardPool::ShardPool(int shards)
-    : shards_(std::max(shards, 1)), errors_(static_cast<size_t>(shards_)) {
+    : shards_(in_phase ? 1 : std::max(shards, 1)), errors_(static_cast<size_t>(shards_)) {
   threads_.reserve(static_cast<size_t>(shards_ - 1));
   for (int shard = 1; shard < shards_; ++shard) {
     threads_.emplace_back([this, shard] { WorkerLoop(shard); });
@@ -39,6 +55,7 @@ void ShardPool::WorkerLoop(int shard) {
     }
     std::exception_ptr error;
     try {
+      const PhaseScope scope;
       (*fn)(shard);
     } catch (...) {
       error = std::current_exception();
@@ -54,6 +71,7 @@ void ShardPool::WorkerLoop(int shard) {
 }
 
 void ShardPool::RunPhase(const std::function<void(int shard)>& fn) {
+  const PhaseScope scope;
   if (shards_ == 1) {
     fn(0);  // serial pool: no threads, no locking.
     return;

@@ -15,6 +15,11 @@
 //
 // Threads persist across phases, so a caller advancing thousands of
 // conservative time windows pays thread creation once, not per window.
+//
+// Pools never nest: a pool constructed while its thread runs a phase of
+// another pool (a cold threshold derivation inside a parallel runner's
+// trial, say) gets one shard and starts no thread, so the process never
+// runs pools × shards threads. The shard count never changes a result.
 
 #ifndef RHYTHM_SRC_COMMON_SHARD_POOL_H_
 #define RHYTHM_SRC_COMMON_SHARD_POOL_H_
@@ -31,7 +36,8 @@ namespace rhythm {
 
 class ShardPool {
  public:
-  // Spawns `shards - 1` worker threads; shards < 1 is clamped to 1.
+  // Spawns `shards - 1` worker threads; shards < 1 is clamped to 1, and so
+  // is any count asked for inside another pool's phase.
   explicit ShardPool(int shards);
   ~ShardPool();
 

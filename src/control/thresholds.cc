@@ -30,8 +30,8 @@ double DeriveLoadlimit(std::span<const double> load_levels, std::span<const doub
   return load_levels.back();
 }
 
-std::vector<double> FindSlacklimits(const std::vector<double>& normalized_contributions,
-                                    const SlaProbe& probe, int max_iterations) {
+std::vector<std::vector<double>> SlacklimitCandidates(
+    const std::vector<double>& normalized_contributions, int max_iterations) {
   const size_t n = normalized_contributions.size();
   RHYTHM_CHECK(n > 0);
 
@@ -46,9 +46,9 @@ std::vector<double> FindSlacklimits(const std::vector<double>& normalized_contri
   // jitter amplitude (latency hiccups): a slacklimit below it would let BEs
   // ride within one hiccup of the SLA, which the probe always rejects.
   constexpr double kFloor = 0.12;
-  std::vector<double> safe(n, 1.0);     // last configuration that kept SLA.
-  std::vector<double> current(n, 1.0);
+  std::vector<std::vector<double>> candidates;
   for (int iter = 1; iter <= max_iterations; ++iter) {
+    std::vector<double>& current = candidates.emplace_back(n);
     bool any_above_floor = false;
     for (size_t i = 0; i < n; ++i) {
       current[i] = std::max(kFloor, 1.0 - iter * step[i]);
@@ -56,15 +56,44 @@ std::vector<double> FindSlacklimits(const std::vector<double>& normalized_contri
         any_above_floor = true;
       }
     }
-    if (probe(current)) {
-      break;  // SLA violated: keep the previous configuration.
-    }
-    safe = current;
     if (!any_above_floor) {
       break;  // every limit has bottomed out.
     }
   }
+  return candidates;
+}
+
+std::vector<double> FindSlacklimits(const std::vector<double>& normalized_contributions,
+                                    const SlaProbe& probe, int max_iterations) {
+  std::vector<double> safe(normalized_contributions.size(), 1.0);  // last SLA-safe setting.
+  for (const std::vector<double>& candidate :
+       SlacklimitCandidates(normalized_contributions, max_iterations)) {
+    if (probe(candidate)) {
+      break;  // SLA violated: keep the previous configuration.
+    }
+    safe = candidate;
+  }
   return safe;
+}
+
+SpeculativeSlacklimitSearch::SpeculativeSlacklimitSearch(
+    const std::vector<double>& normalized_contributions, int max_iterations)
+    : pods_(normalized_contributions.size()),
+      candidates_(SlacklimitCandidates(normalized_contributions, max_iterations)),
+      lowest_violation_(iterations() + 1) {}
+
+void SpeculativeSlacklimitSearch::Violated(int iteration) {
+  int lowest = lowest_violation_.load();
+  while (iteration < lowest && !lowest_violation_.compare_exchange_weak(lowest, iteration)) {
+  }
+}
+
+std::vector<double> SpeculativeSlacklimitSearch::Result() const {
+  const int safe_iterations = lowest_violation_.load() - 1;
+  if (safe_iterations == 0) {
+    return std::vector<double>(pods_, 1.0);  // no candidate is safe.
+  }
+  return candidate(safe_iterations);
 }
 
 }  // namespace rhythm

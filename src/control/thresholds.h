@@ -12,6 +12,7 @@
 #ifndef RHYTHM_SRC_CONTROL_THRESHOLDS_H_
 #define RHYTHM_SRC_CONTROL_THRESHOLDS_H_
 
+#include <atomic>
 #include <functional>
 #include <span>
 #include <vector>
@@ -32,11 +33,56 @@ double DeriveLoadlimit(std::span<const double> load_levels, std::span<const doub
 // returns true when the SLA was violated during the window.
 using SlaProbe = std::function<bool(const std::vector<double>& slacklimits)>;
 
-// Algorithm 1, coordinated across pods: per-pod step sizes from normalized
-// contributions, iterate until the probe reports a violation or every limit
-// reaches its floor, return the last safe limits.
+// Algorithm 1's candidate limits, one row per iteration: row i-1 holds
+// iteration i's per-pod slacklimits, each pod stepping down from 1.0 by its
+// own step (1 - C_i / Σ C, clamped to [0.05, 0.99]) to a 0.12 floor. The
+// rows end at max_iterations or at the first iteration where every limit
+// sits at the floor, whichever comes first. Pure: a row depends only on its
+// iteration and the contributions, so every iteration can be probed in any
+// order.
+std::vector<std::vector<double>> SlacklimitCandidates(
+    const std::vector<double>& normalized_contributions, int max_iterations);
+
+// Algorithm 1, coordinated across pods, as a serial search: probe each
+// candidate in iteration order until the probe reports a violation, and
+// return the last safe limits (all 1.0 when the first candidate violates).
+// The reference the speculative search below must equal.
 std::vector<double> FindSlacklimits(const std::vector<double>& normalized_contributions,
                                     const SlaProbe& probe, int max_iterations = 32);
+
+// The stop-and-select rule of Algorithm 1 run speculatively: the probes of
+// every candidate iteration may run at once, in any order, on any thread.
+// A worker asks Open(i) before probing iteration i (1-based) and skips the
+// probe when it is false; a violating probe reports Violated(i). Once every
+// probe that was opened has reported, Result() is the candidate of the
+// iteration just before the lowest violating one: FindSlacklimits's answer
+// for the same verdicts, because every iteration below that one ran all of
+// its probes and none violated. Open and Violated are thread-safe.
+class SpeculativeSlacklimitSearch {
+ public:
+  SpeculativeSlacklimitSearch(const std::vector<double>& normalized_contributions,
+                              int max_iterations);
+
+  SpeculativeSlacklimitSearch(const SpeculativeSlacklimitSearch&) = delete;
+  SpeculativeSlacklimitSearch& operator=(const SpeculativeSlacklimitSearch&) = delete;
+
+  int iterations() const { return static_cast<int>(candidates_.size()); }
+  const std::vector<double>& candidate(int iteration) const {
+    return candidates_[static_cast<size_t>(iteration - 1)];
+  }
+  // False once a probe of iteration `iteration` or below has violated: its
+  // verdict can no longer change the result.
+  bool Open(int iteration) const {
+    return iteration < lowest_violation_.load();
+  }
+  void Violated(int iteration);
+  std::vector<double> Result() const;
+
+ private:
+  const size_t pods_;
+  const std::vector<std::vector<double>> candidates_;
+  std::atomic<int> lowest_violation_;  // iterations() + 1 while none violated.
+};
 
 }  // namespace rhythm
 

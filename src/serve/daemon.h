@@ -63,10 +63,11 @@ struct DaemonOptions {
   // Directory for per-query audit recordings (whatif-<seq>.jsonl). Empty:
   // auditing off.
   std::string audit_dir;
-  // Apps characterized (CachedAppThresholds: disk-cache-loaded or derived)
-  // before the server opens its port, so first queries don't pay for it.
-  // Distinct apps prewarm in parallel, on min(apps, DefaultJobCount())
-  // threads; duplicates are loaded once.
+  // Apps characterized before the server opens its port, so first queries
+  // don't pay for it: one CacheAppThresholds call, in which apps in the
+  // disk cache load on the calling thread and the rest derive as one plan
+  // whose probes share DefaultJobCount() shards (not runner.jobs, which
+  // sizes per-query work). Duplicates are characterized once.
   std::vector<LcAppKind> prewarm;
 };
 
@@ -79,7 +80,8 @@ class RhythmDaemon {
   RhythmDaemon(const RhythmDaemon&) = delete;
   RhythmDaemon& operator=(const RhythmDaemon&) = delete;
 
-  // Prewarms thresholds and starts the server.
+  // Prewarms thresholds (options.prewarm) and starts the server. A failed
+  // characterization throws the earliest listed app's exception.
   bool Start(std::string* error);
   // Graceful drain (delegates to HttpServer::Stop); idempotent.
   void Stop();
@@ -125,10 +127,6 @@ class RhythmDaemon {
   // under `endpoint`, which becomes one of the names a restore accepts.
   void AddRoute(const char* method, const char* path, const std::string& endpoint,
                 HttpHandler handler);
-
-  // Characterizes options_.prewarm concurrently; rethrows the failure of
-  // the earliest listed app, if any.
-  void Prewarm();
 
   HttpResponse HandleWhatIf(const HttpRequest& request);
   HttpResponse HandlePlacements(const HttpRequest& request);

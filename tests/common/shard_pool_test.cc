@@ -1,8 +1,10 @@
 // ShardPool: phase barrier semantics, caller participation as shard 0,
-// lowest-shard-first exception propagation, and pool reuse across phases
-// (including after a throwing phase).
+// lowest-shard-first exception propagation, pool reuse across phases
+// (including after a throwing phase), and no nesting of pools.
 
 #include <gtest/gtest.h>
+
+#include <dirent.h>
 
 #include <atomic>
 #include <stdexcept>
@@ -84,6 +86,52 @@ TEST(ShardPoolTest, LowestShardExceptionWins) {
   std::atomic<int> ran{0};
   pool.RunPhase([&](int) { ++ran; });
   EXPECT_EQ(ran.load(), 4);
+}
+
+// Threads of this process, from /proc/self/task.
+int ThreadCount() {
+  int count = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* entry = ::readdir(dir)) {
+      count += entry->d_name[0] != '.';
+    }
+    ::closedir(dir);
+  }
+  return count;
+}
+
+TEST(ShardPoolTest, PoolBuiltInsideAPhaseHasOneShard) {
+  ShardPool outer(3);
+  std::vector<int> inner_shards(3, 0);
+  std::vector<int> ran_on_own_thread(3, 0);
+  outer.RunPhase([&](int shard) {
+    ShardPool inner(4);
+    inner_shards[shard] = inner.shards();
+    const std::thread::id self = std::this_thread::get_id();
+    inner.RunPhase([&](int inner_shard) {
+      ran_on_own_thread[shard] = inner_shard == 0 && std::this_thread::get_id() == self;
+    });
+  });
+  for (int shard = 0; shard < 3; ++shard) {
+    EXPECT_EQ(inner_shards[shard], 1) << "shard " << shard;
+    EXPECT_TRUE(ran_on_own_thread[shard]) << "shard " << shard;
+  }
+
+  // Even inside a one-shard phase; and the inner pool starts no thread.
+  ShardPool serial(1);
+  int threads_before = 0;
+  int threads_with_inner = 0;
+  serial.RunPhase([&](int) {
+    threads_before = ThreadCount();
+    ShardPool inner(8);
+    threads_with_inner = ThreadCount();
+    EXPECT_EQ(inner.shards(), 1);
+  });
+  EXPECT_GT(threads_before, 0);
+  EXPECT_EQ(threads_with_inner, threads_before);
+
+  // Outside every phase a pool gets its full width again.
+  EXPECT_EQ(ShardPool(4).shards(), 4);
 }
 
 TEST(ShardPoolTest, ClampsShardCountToOne) {

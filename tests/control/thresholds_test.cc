@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
+
+#include "src/common/rng.h"
 
 namespace rhythm {
 namespace {
@@ -90,6 +93,117 @@ TEST(FindSlacklimitsTest, RespectsMaxIterations) {
   };
   FindSlacklimits(contributions, count, 5);
   EXPECT_EQ(calls, 5);
+}
+
+TEST(SlacklimitCandidatesTest, EndAtTheFloorCapOrMaxIterations) {
+  // Steps 0.5 and 0.3: every limit reaches the 0.12 floor at iteration 3.
+  const std::vector<double> contributions = {0.5, 0.7};
+  const auto capped = SlacklimitCandidates(contributions, 20);
+  ASSERT_EQ(capped.size(), 3u);
+  EXPECT_DOUBLE_EQ(capped[0][0], 0.5);
+  EXPECT_DOUBLE_EQ(capped[0][1], 0.7);
+  EXPECT_DOUBLE_EQ(capped[1][1], 0.4);
+  EXPECT_DOUBLE_EQ(capped[2][0], 0.12);
+  EXPECT_DOUBLE_EQ(capped[2][1], 0.12);
+  EXPECT_EQ(SlacklimitCandidates(contributions, 2).size(), 2u);
+  EXPECT_TRUE(SlacklimitCandidates(contributions, 0).empty());
+}
+
+// Drives SpeculativeSlacklimitSearch the way a derivation plan does, with
+// no simulation: `probes` probes per candidate iteration, claimed in
+// iteration order by `width` workers that finish in a random order, over a
+// random set of violating (iteration, probe) pairs. Each case must return
+// exactly what the serial FindSlacklimits returns with a probe reading the
+// same violation set.
+TEST(SpeculativeSlacklimitSearchTest, EqualsTheSerialSearchForAnyOrderAndWidth) {
+  Rng rng(20260417);
+  // Cases whose candidates end at the floor cap before max_iterations, end
+  // at max_iterations, and whose serial search stopped at a violation.
+  int capped = 0;
+  int uncapped = 0;
+  int stopped = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    SCOPED_TRACE(trial);
+    const size_t pods = 1 + rng.UniformInt(6);
+    std::vector<double> contributions(pods);
+    double total = 0.0;
+    for (double& c : contributions) {
+      c = rng.Uniform(0.01, 1.0);
+      total += c;
+    }
+    for (double& c : contributions) {
+      c /= total;
+    }
+    const int max_iterations = static_cast<int>(rng.UniformInt(21));  // 0..20.
+    const int kProbeCounts[] = {0, 1, 4};
+    const int probes = kProbeCounts[rng.UniformInt(3)];
+    const double density = rng.Uniform(0.0, 0.4);
+    // violates[i][j]: probe j of iteration i + 1 breaks the SLA.
+    std::vector<std::vector<bool>> violates(static_cast<size_t>(max_iterations));
+    for (std::vector<bool>& row : violates) {
+      for (int j = 0; j < probes; ++j) {
+        row.push_back(rng.NextDouble() < density);
+      }
+    }
+
+    std::vector<std::vector<double>> serial_candidates;
+    bool serial_stopped = false;
+    const SlaProbe serial_probe = [&](const std::vector<double>& limits) {
+      serial_candidates.push_back(limits);
+      for (bool violated : violates[serial_candidates.size() - 1]) {
+        if (violated) {
+          serial_stopped = true;
+          return true;
+        }
+      }
+      return false;
+    };
+    const std::vector<double> serial =
+        FindSlacklimits(contributions, serial_probe, max_iterations);
+
+    SpeculativeSlacklimitSearch search(contributions, max_iterations);
+    ASSERT_GE(search.iterations(), static_cast<int>(serial_candidates.size()));
+    for (size_t i = 0; i < serial_candidates.size(); ++i) {
+      EXPECT_EQ(search.candidate(static_cast<int>(i) + 1), serial_candidates[i]);
+    }
+    struct Task {
+      int iteration;
+      int probe;
+    };
+    std::vector<Task> tasks;
+    for (int iteration = 1; iteration <= search.iterations(); ++iteration) {
+      for (int probe = 0; probe < probes; ++probe) {
+        tasks.push_back({iteration, probe});
+      }
+    }
+    const size_t width = 1 + rng.UniformInt(6);
+    size_t next = 0;
+    std::vector<Task> running;
+    for (;;) {
+      while (running.size() < width && next < tasks.size()) {
+        const Task task = tasks[next++];
+        if (search.Open(task.iteration)) {
+          running.push_back(task);
+        }
+      }
+      if (running.empty()) {
+        break;
+      }
+      const size_t done = rng.UniformInt(running.size());
+      const Task task = running[done];
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(done));
+      if (violates[static_cast<size_t>(task.iteration - 1)][static_cast<size_t>(task.probe)]) {
+        search.Violated(task.iteration);
+      }
+    }
+    EXPECT_EQ(search.Result(), serial);
+    capped += search.iterations() < max_iterations;
+    uncapped += max_iterations > 0 && search.iterations() == max_iterations;
+    stopped += serial_stopped;
+  }
+  EXPECT_GT(capped, 100);
+  EXPECT_GT(uncapped, 100);
+  EXPECT_GT(stopped, 100);
 }
 
 }  // namespace

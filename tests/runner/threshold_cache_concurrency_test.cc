@@ -333,6 +333,53 @@ TEST_F(ThresholdCacheConcurrencyTest, FillsRacingALoadAgreeOnOneRecord) {
   });
 }
 
+TEST_F(ThresholdCacheConcurrencyTest, OverlappingAppListsDoNotDeadlock) {
+  // CacheAppThresholds holds every cold listed slot at once, so callers
+  // whose lists overlap in opposite orders (and list an app twice) must not
+  // deadlock: every caller ends with each listed app's seeded record, and
+  // nothing is derived.
+  testing::InFreshProcess([] {
+    std::vector<LcAppKind> all = AllLcAppKinds();
+    for (LcAppKind app : all) {
+      SaveThresholdsToDisk(ThresholdDiskCachePath(app),
+                           SyntheticThresholds(app, 0.3 + 0.01 * static_cast<int>(app), 0.05));
+    }
+    const std::vector<LcAppKind> reversed(all.rbegin(), all.rend());
+    const std::vector<std::vector<LcAppKind>> lists = {
+        all, reversed, {LcAppKind::kSolr, LcAppKind::kRedis, LcAppKind::kSolr},
+        {LcAppKind::kSnms, LcAppKind::kEcommerce}};
+    constexpr int kThreads = 8;
+    std::vector<std::vector<const AppThresholds*>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const std::vector<LcAppKind>& list = lists[t % lists.size()];
+        CacheAppThresholds(list);
+        for (LcAppKind app : list) {
+          seen[t].push_back(&CachedAppThresholds(app));
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    for (int t = 0; t < kThreads; ++t) {
+      const std::vector<LcAppKind>& list = lists[t % lists.size()];
+      ASSERT_EQ(seen[t].size(), list.size());
+      for (size_t i = 0; i < list.size(); ++i) {
+        EXPECT_EQ(seen[t][i], &CachedAppThresholds(list[i]));
+      }
+    }
+    const std::vector<AppThresholds> listed = CharacterizedAppThresholds();
+    ASSERT_EQ(listed.size(), all.size());
+    for (const AppThresholds& record : listed) {
+      SCOPED_TRACE(LcAppKindName(record.app));
+      EXPECT_EQ(record.pods[0].loadlimit, 0.3 + 0.01 * static_cast<int>(record.app));
+      EXPECT_TRUE(CachedAppThresholds(record.app).profile.levels.empty());  // loaded.
+    }
+  });
+}
+
 TEST_F(ThresholdCacheConcurrencyTest, RacingWritersNeverTearAnEntry) {
   // Writers stage to a temp file and rename; readers must only ever see a
   // complete low- or high-variant entry, never a mix or a partial file.

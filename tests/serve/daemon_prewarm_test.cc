@@ -1,10 +1,11 @@
-// RhythmDaemon's parallel prewarm: every distinct app in DaemonOptions::
-// prewarm is loaded into the process-wide threshold cache before the port
-// opens, on a pool no wider than the app count. Entries are pre-seeded in a
-// private RHYTHM_THRESHOLD_CACHE (the ThresholdCacheConcurrencyTest
-// pattern), so nothing is characterized and the cached values are
-// recognizably synthetic. Each test prewarms in a fresh process, so no
-// other test has filled the cache before it.
+// RhythmDaemon's prewarm: every distinct app in DaemonOptions::prewarm is
+// put into the process-wide threshold cache before the port opens, by one
+// CacheAppThresholds call. Apps found in the disk cache load on the calling
+// thread and the rest derive as one plan; here every entry is pre-seeded
+// in a private RHYTHM_THRESHOLD_CACHE (the ThresholdCacheConcurrencyTest
+// pattern), so nothing is characterized, no pool is built, and the cached
+// values are recognizably synthetic. Each test prewarms in a fresh process,
+// so no other test has filled the cache before it.
 
 #include <gtest/gtest.h>
 

@@ -24,9 +24,9 @@
 //   --restore PATH     restore a snapshot before serving (warm start)
 //   --audit-dir DIR    write per-query obs recordings (whatif-<seq>.jsonl)
 //   --prewarm LIST     comma-separated app names (or "all") to characterize
-//                      before the port opens; distinct apps characterize in
-//                      parallel on min(apps, RHYTHM_JOBS or the core count)
-//                      threads
+//                      before the port opens; apps not in the disk cache
+//                      derive as one plan whose profiles and probes share
+//                      RHYTHM_JOBS or the core count threads
 //   --oneshot FILE     batch mode: evaluate FILE ("-" = stdin), print, exit
 
 #include <signal.h>
